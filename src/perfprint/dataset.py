@@ -6,12 +6,19 @@ operation returns a new value.
 
 File format: one self-describing JSON header line, then one CSV row per
 measurement (`label,feature_0,...`), floats at 9 significant digits.
+
+Every dataset write is atomic: the file is written beside its target and
+renamed over it, so a failed write leaves the old file as it was. Appending
+a measurement re-validates the whole file as `load` does, but re-writes only
+the header and the new row; the existing rows are copied as they stand.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,11 +242,12 @@ def kfold(d: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
     return folds
 
 
-def _format_feature(value: float) -> str:
-    return format(value, ".9g")
+def _format_row(m: Measurement) -> str:
+    values = m.features.tolist()
+    return m.label + "," + (",".join(["%.9g"] * len(values)) % tuple(values)) + "\n"
 
 
-def _header_dict(d: Dataset) -> dict:
+def _header_line(d: Dataset) -> str:
     row_meta = [m.meta for m in d.measurements]
     header = {
         "format": FILE_FORMAT,
@@ -262,20 +270,49 @@ def _header_dict(d: Dataset) -> dict:
             "min": d.normalization.feature_min.tolist(),
             "max": d.normalization.feature_max.tolist(),
         }
-    return header
+    return json.dumps(header, separators=(",", ":")) + "\n"
+
+
+def _check_label(label: str):
+    if "," in label or "\n" in label:
+        raise DataError(f"label {label!r} contains a reserved character")
+
+
+def _write_atomic(path: str, lines):
+    """Write `lines` to a temp file beside `path`, then rename it over `path`.
+
+    On any error the temp file is removed and `path` keeps its old bytes.
+    The data is synced before the rename, so a crash leaves either the old
+    file or the complete new one. An existing file's permission bits carry
+    over to the replacement.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(lines)
+            fh.flush()
+            os.fsync(fh.fileno())
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save(d: Dataset, path: str):
     for m in d.measurements:
-        if "," in m.label or "\n" in m.label:
-            raise DataError(f"label {m.label!r} contains a reserved character")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(_header_dict(d), separators=(",", ":")) + "\n")
-        for m in d.measurements:
-            fh.write(m.label + "," + ",".join(map(_format_feature, m.features)) + "\n")
+        _check_label(m.label)
+    _write_atomic(path, itertools.chain([_header_line(d)], map(_format_row, d.measurements)))
 
 
 def load(path: str) -> Dataset:
+    return _parse(path)[0]
+
+
+def _parse(path: str) -> tuple[Dataset, list[str]]:
+    """Parse and validate a dataset file; also return its non-empty row lines."""
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -284,6 +321,8 @@ def load(path: str) -> Dataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: line 1: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: line 1: header is not a JSON object")
     if header.get("format") != FILE_FORMAT:
         raise DataError(f"{path}: not a {FILE_FORMAT} file")
     if header.get("version") != FILE_VERSION:
@@ -297,7 +336,10 @@ def load(path: str) -> Dataset:
 
     length = header.get("feature_length")
     row_meta = header.get("row_meta")
+    if row_meta is not None and not isinstance(row_meta, list):
+        raise DataError(f"{path}: line 1: row_meta is not a list")
     measurements = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -314,8 +356,14 @@ def load(path: str) -> Dataset:
             raise DataError(f"{path}: line {lineno}: non-numeric feature: {exc}") from exc
         meta = {}
         if row_meta is not None:
+            if len(measurements) >= len(row_meta):
+                raise DataError(
+                    f"{path}: line {lineno}: header row_meta has {len(row_meta)} "
+                    f"entries, too few for the rows"
+                )
             meta = row_meta[len(measurements)]
         measurements.append(Measurement(label=label, features=features, meta=meta))
+        rows.append(line)
 
     classes = sorted({m.label for m in measurements})
     if header.get("classes") and classes != sorted(header["classes"]):
@@ -333,17 +381,21 @@ def load(path: str) -> Dataset:
     for key in ("scenario", "events", "samples_per_event"):
         if header.get(key) is not None:
             meta[key] = header[key]
-    return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta)
+    return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta), rows
 
 
 def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = None):
     """Append one measurement to a trace file, creating it if needed.
 
-    The header's class list and row metadata are rewritten; feature length
+    The existing file is parsed and validated in full, as `load` does. Only
+    the header (class list, row metadata, merged meta) and the new row are
+    formatted; the existing row lines are copied verbatim. Feature length
     must match what the file already holds.
     """
+    _check_label(m.label)
+    rows: list[str] = []
     if os.path.exists(path):
-        d = load(path)
+        d, rows = _parse(path)
         if len(d) and d.feature_length != len(m.features):
             raise DataError(
                 f"{path}: holds {d.feature_length}-feature rows, "
@@ -358,4 +410,7 @@ def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = No
         )
     else:
         d = Dataset(measurements=(m,), meta=dict(dataset_meta or {}))
-    save(d, path)
+    _write_atomic(
+        path,
+        itertools.chain([_header_line(d)], (row + "\n" for row in rows), [_format_row(m)]),
+    )

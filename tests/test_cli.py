@@ -68,6 +68,21 @@ def test_missing_data_file_exits_three(tmp_path):
                "--out", tmp_path / "m.json") == 3
 
 
+@pytest.mark.parametrize("header", [
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "classes": ["a"],
+     "row_meta": [{"visit": 0}]},
+    ["perfprint-dataset", 1],
+], ids=["short-row-meta", "list-header"])
+def test_prep_on_malformed_header_exits_three(tmp_path, capsys, header):
+    data = tmp_path / "bad.csv"
+    data.write_text(json.dumps(header) + "\na,1.0\na,2.0\n")
+    assert run("prep", "--data", data, "--out", tmp_path / "out.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: line ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_prep_split_normalize_downsample(tmp_path):
     full = tmp_path / "full.csv"
     assert run(*synth_args(full)) == 0

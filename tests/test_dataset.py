@@ -293,6 +293,97 @@ def test_append_measurement(tmp_path):
         dataset.append_measurement(str(path), bad)
 
 
+def _header(**overrides):
+    header = {"format": "perfprint-dataset", "version": 1, "feature_length": 2,
+              "classes": ["a"], "normalization": None, "row_meta": None,
+              "scenario": None, "events": None, "samples_per_event": None, "meta": {}}
+    header.update(overrides)
+    return json.dumps(header)
+
+
+def test_append_gives_the_same_bytes_as_save(tmp_path):
+    rng = np.random.default_rng(13)
+    meta = {"scenario": "TorIntel", "events": ["instructions"], "samples_per_event": 7}
+    measurements = [
+        Measurement(label=f"site-{i % 3}", features=rng.normal(size=7) * 10.0 ** (i - 3),
+                    meta={"visit": i})
+        for i in range(6)
+    ]
+    appended = tmp_path / "appended.csv"
+    for m in measurements:
+        dataset.append_measurement(str(appended), m, dataset_meta=meta)
+    saved = tmp_path / "saved.csv"
+    dataset.save(Dataset(measurements=tuple(measurements), meta=meta), str(saved))
+    assert appended.read_bytes() == saved.read_bytes()
+
+
+@pytest.mark.parametrize("header, rows, match", [
+    (_header(), "a,1.0,2.0\na,1.0,x\n", "line 3: non-numeric"),
+    (_header(), "a,1.0,2.0\na,1.0\n", "line 3"),
+    (_header(row_meta=[{"visit": 0}]), "a,1.0,2.0\na,3.0,4.0\n", "line 3: header row_meta"),
+], ids=["non-numeric", "field-count", "short-row-meta"])
+def test_append_rejects_what_load_rejects(tmp_path, header, rows, match):
+    path = tmp_path / "trace.csv"
+    path.write_text(header + "\n" + rows)
+    before = path.read_bytes()
+    with pytest.raises(DataError, match=match):
+        dataset.load(str(path))
+    with pytest.raises(DataError, match=match):
+        dataset.append_measurement(str(path), Measurement(label="a", features=[5.0, 6.0]))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+def test_append_keeps_hand_written_rows_as_written(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(_header() + "\na,1.50,2e3\n\n")
+    dataset.append_measurement(str(path), Measurement(label="a", features=[0.25, 3.0]))
+    assert path.read_text().splitlines()[1:] == ["a,1.50,2e3", "a,0.25,3"]
+    assert dataset.load(str(path)).feature_matrix().tolist() == [[1.5, 2000.0], [0.25, 3.0]]
+
+
+@pytest.mark.parametrize("header, match", [
+    (_header(row_meta=[]), "line 2: header row_meta"),
+    (json.dumps([1, 2]), "line 1: header is not a JSON object"),
+    (_header(row_meta={"visit": 0}), "line 1: row_meta is not a list"),
+], ids=["short-row-meta", "list-header", "dict-row-meta"])
+def test_load_rejects_malformed_header_fields(tmp_path, header, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\na,1.0,2.0\n")
+    with pytest.raises(DataError, match=match):
+        dataset.load(str(path))
+
+
+def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    dataset.save(build_dataset([[1.0], [2.0]], ["a", "b"]), str(path))
+    before = path.read_bytes()
+
+    def disk_full(m):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(dataset, "_format_row", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        dataset.save(build_dataset([[3.0]], ["c"]), str(path))
+    with pytest.raises(OSError, match="no space"):
+        dataset.append_measurement(str(path), Measurement(label="c", features=[3.0]))
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="reserved"):
+        dataset.save(build_dataset([[3.0]], ["with,comma"]), str(path))
+    with pytest.raises(DataError, match="reserved"):
+        dataset.append_measurement(str(path), Measurement(label="c\nd", features=[3.0]))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+def test_save_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path):
+    path = tmp_path / "d.csv"
+    dataset.save(build_dataset([[1.0]], ["a"]), str(path))
+    path.chmod(0o600)
+    dataset.append_measurement(str(path), Measurement(label="b", features=[2.0]))
+    assert path.stat().st_mode & 0o777 == 0o600
+
+
 def test_dataset_rejects_ragged_features():
     with pytest.raises(DataError, match="length"):
         Dataset(
