@@ -9,14 +9,13 @@ from .tree import DecisionTreeModel, train_tree
 
 from ..errors import ConfigError
 
-MODEL_KINDS = ("knn", "tree", "svm", "net")
-
 _TRAINERS = {
     "knn": train_knn,
     "tree": train_tree,
     "svm": train_svm,
     "net": train_net,
 }
+MODEL_KINDS = tuple(_TRAINERS)
 
 
 def make_trainer(kind: str, **hyperparams):

@@ -4,9 +4,16 @@ Every model ranks the full class list; predict(x) is predict_topk(x, 1)[0]
 by construction, and predict_topk(x, N) is a permutation of the classes.
 All tie-breaking bottoms out at the lower class index (classes are sorted,
 so indices are stable across runs).
+
+A model kind lives in one module. Its class implements one batch ranking
+method, `rank_classes_many(X)`, and owns the payload of its model file:
+`to_payload()` writes it and the classmethod
+`from_payload(classes, payload, hyperparams, seed)` reads it back.
 """
 
 from __future__ import annotations
+
+import base64
 
 import numpy as np
 
@@ -28,24 +35,23 @@ class Model:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def rank_classes(self, x: np.ndarray) -> np.ndarray:
-        """Full ranking of class indices, best first. Subclasses implement."""
+    def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
+        """(n, N) matrix of full rankings of class indices, best first, one
+        row per row of X. Subclasses implement."""
         raise NotImplementedError
 
+    def rank_classes(self, x: np.ndarray) -> np.ndarray:
+        return self.rank_classes_many(np.asarray(x, dtype=np.float64)[None, :])[0]
+
     def predict_topk(self, x, g: int) -> list[str]:
-        if g < 1:
-            raise DataError(f"top-k size must be >= 1, got {g}")
-        order = self.rank_classes(np.asarray(x, dtype=np.float64))
-        return [self.classes[i] for i in order[: min(g, self.n_classes)]]
+        return self.predict_topk_many(np.asarray(x, dtype=np.float64)[None, :], g)[0]
 
     def predict(self, x) -> str:
         return self.predict_topk(x, 1)[0]
 
-    def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
-        """(n, N) matrix of rankings; vectorized by subclasses where it pays."""
-        return np.stack([self.rank_classes(x) for x in np.asarray(X, dtype=np.float64)])
-
     def predict_topk_many(self, X, g: int) -> list[list[str]]:
+        if g < 1:
+            raise DataError(f"top-k size must be >= 1, got {g}")
         rankings = self.rank_classes_many(np.asarray(X, dtype=np.float64))
         g = min(g, self.n_classes)
         return [[self.classes[i] for i in row[:g]] for row in rankings]
@@ -54,16 +60,18 @@ class Model:
         return [row[0] for row in self.predict_topk_many(X, 1)]
 
 
-def rank_by_score(scores: np.ndarray) -> np.ndarray:
-    """Class indices sorted by descending score, ties to the lower index.
+def _encode(arr: np.ndarray) -> dict:
+    """A float64 array as its shape and base64-packed little-endian bytes."""
+    arr = np.asarray(arr, dtype=np.float64)
+    return {
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
+    }
 
-    Works on a single score vector or a (n, N) batch.
-    """
-    scores = np.asarray(scores)
-    idx = np.arange(scores.shape[-1])
-    if scores.ndim == 1:
-        return np.lexsort((idx, -scores))
-    return np.lexsort((np.broadcast_to(idx, scores.shape), -scores), axis=-1)
+
+def _decode(obj: dict) -> np.ndarray:
+    raw = base64.b64decode(obj["data"])
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
 
 
 def check_trainable(dataset, min_classes: int = 1):

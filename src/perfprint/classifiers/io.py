@@ -1,87 +1,39 @@
-"""Model persistence: versioned JSON with base64-packed float64 arrays.
+"""Model persistence: a versioned JSON envelope around each kind's payload.
 
-Array payloads are little-endian 64-bit floats, so files written on one
-machine load anywhere. Wall-clock training time is deliberately left out of
-the file; identical training runs must produce identical bytes.
+The envelope holds the format, version, kind, classes, seed, hyperparameters
+and provenance; the payload is written and read by the model class of that
+kind (`to_payload`, `from_payload`). Array payloads are little-endian 64-bit
+floats, so files written on one machine load anywhere. Wall-clock training
+time is deliberately left out of the file; identical training runs must
+produce identical bytes.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 
-import numpy as np
-
+from ..dataset import write_json
 from ..errors import DataError
-from .knn import KnnModel
-from .svm import LinearSvmModel
-from .tree import DecisionTreeModel
-from .net import AutoencoderNetModel
+from .base import Model
 
 FILE_FORMAT = "perfprint-model"
 FILE_VERSION = 1
 
 
-def _encode(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr, dtype=np.float64)
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
-    }
-
-
-def _decode(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
-
-
-def _payload(model) -> dict:
-    if isinstance(model, KnnModel):
-        return {
-            "k": model.k,
-            "train_x": _encode(model.train_x),
-            "train_y": model.train_y.tolist(),
-        }
-    if isinstance(model, DecisionTreeModel):
-        nodes = []
-        for node in model.nodes:
-            if "counts" in node:
-                nodes.append({"counts": np.asarray(node["counts"]).tolist()})
-            else:
-                nodes.append(
-                    {
-                        "feature": int(node["feature"]),
-                        "threshold": float(node["threshold"]),
-                        "left": int(node["left"]),
-                        "right": int(node["right"]),
-                    }
-                )
-        return {"nodes": nodes, "class_frequency": model.class_frequency.tolist()}
-    if isinstance(model, LinearSvmModel):
-        return {
-            "pairs": [list(p) for p in model.pairs],
-            "weights": _encode(model.weights),
-            "biases": _encode(model.biases),
-        }
-    if isinstance(model, AutoencoderNetModel):
-        return {name: _encode(arr) for name, arr in model.weights.items()}
-    raise DataError(f"cannot serialize model of type {type(model).__name__}")
-
-
 def save_model(model, path: str, provenance: dict | None = None):
-    doc = {
-        "format": FILE_FORMAT,
-        "version": FILE_VERSION,
-        "kind": model.kind,
-        "classes": model.classes,
-        "seed": model.seed,
-        "hyperparams": model.hyperparams,
-        "provenance": provenance,
-        "payload": _payload(model),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    write_json(
+        path,
+        {
+            "format": FILE_FORMAT,
+            "version": FILE_VERSION,
+            "kind": model.kind,
+            "classes": model.classes,
+            "seed": model.seed,
+            "hyperparams": model.hyperparams,
+            "provenance": provenance,
+            "payload": model.to_payload(),
+        },
+    )
 
 
 def load_model(path: str):
@@ -90,61 +42,24 @@ def load_model(path: str):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from exc
-    if doc.get("format") != FILE_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FILE_FORMAT:
         raise DataError(f"{path}: not a {FILE_FORMAT} file")
     if doc.get("version") != FILE_VERSION:
         raise DataError(f"{path}: unsupported version {doc.get('version')!r}")
-
     kind = doc.get("kind")
-    classes = doc["classes"]
-    seed = doc.get("seed")
-    hp = doc.get("hyperparams", {})
-    payload = doc["payload"]
-    model = _restore(path, kind, classes, seed, hp, payload)
+    model_classes = {cls.kind: cls for cls in Model.__subclasses__()}
+    if kind not in model_classes:
+        raise DataError(f"{path}: unknown model kind {kind!r}")
+    classes, payload = doc.get("classes"), doc.get("payload")
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+        raise DataError(f"{path}: classes must be a list of labels")
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: payload must be a JSON object")
+    try:
+        model = model_classes[kind].from_payload(
+            classes, payload, doc.get("hyperparams", {}), doc.get("seed")
+        )
+    except (KeyError, IndexError, TypeError, ValueError, DataError) as exc:
+        raise DataError(f"{path}: corrupt {kind!r} payload: {exc}") from exc
     model.provenance = doc.get("provenance")
     return model
-
-
-def _restore(path, kind, classes, seed, hp, payload):
-    try:
-        if kind == "knn":
-            return KnnModel(
-                classes=classes,
-                train_x=_decode(payload["train_x"]),
-                train_y=np.array(payload["train_y"], dtype=np.int64),
-                k=payload["k"],
-                seed=seed,
-            )
-        if kind == "tree":
-            nodes = []
-            for node in payload["nodes"]:
-                if "counts" in node:
-                    nodes.append({"counts": np.array(node["counts"], dtype=np.int64)})
-                else:
-                    nodes.append(dict(node))
-            return DecisionTreeModel(
-                classes=classes,
-                nodes=nodes,
-                class_frequency=np.array(payload["class_frequency"], dtype=np.int64),
-                hyperparams=hp,
-                seed=seed,
-            )
-        if kind == "svm":
-            return LinearSvmModel(
-                classes=classes,
-                pairs=[tuple(p) for p in payload["pairs"]],
-                weights=_decode(payload["weights"]),
-                biases=_decode(payload["biases"]),
-                hyperparams=hp,
-                seed=seed,
-            )
-        if kind == "net":
-            return AutoencoderNetModel(
-                classes=classes,
-                weights={name: _decode(obj) for name, obj in payload.items()},
-                hyperparams=hp,
-                seed=seed,
-            )
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: corrupt {kind!r} payload: {exc}") from exc
-    raise DataError(f"{path}: unknown model kind {kind!r}")

@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Model, check_trainable
+from .base import Model, _decode, _encode, check_trainable
 
 
 class KnnModel(Model):
@@ -21,6 +21,19 @@ class KnnModel(Model):
         self.train_y = np.asarray(train_y, dtype=np.int64)
         self.k = int(k)
 
+    def to_payload(self) -> dict:
+        return {"k": self.k, "train_x": _encode(self.train_x), "train_y": self.train_y.tolist()}
+
+    @classmethod
+    def from_payload(cls, classes, payload, hyperparams, seed):
+        return cls(
+            classes,
+            train_x=_decode(payload["train_x"]),
+            train_y=np.array(payload["train_y"], dtype=np.int64),
+            k=payload["k"],
+            seed=seed,
+        )
+
     def _distances(self, X: np.ndarray) -> np.ndarray:
         # ||a-b||^2 = |a|^2 + |b|^2 - 2ab, clipped against tiny negatives.
         sq = (
@@ -29,9 +42,6 @@ class KnnModel(Model):
             - 2.0 * (X @ self.train_x.T)
         )
         return np.sqrt(np.clip(sq, 0.0, None))
-
-    def rank_classes(self, x: np.ndarray) -> np.ndarray:
-        return self.rank_classes_many(x[None, :])[0]
 
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
         """Voted classes first by (votes, mean distance, class index); the

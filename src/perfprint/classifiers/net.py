@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Model, check_trainable, rank_by_score
+from .base import Model, _decode, _encode, check_trainable
 
 DEFAULT_MAX_ITERATIONS = 400
 DEFAULT_L2_WEIGHT = 0.001
@@ -154,6 +154,14 @@ class AutoencoderNetModel(Model):
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
         self.loss_history: dict[str, list[float]] = {}
 
+    def to_payload(self) -> dict:
+        return {name: _encode(arr) for name, arr in self.weights.items()}
+
+    @classmethod
+    def from_payload(cls, classes, payload, hyperparams, seed):
+        weights = {name: _decode(obj) for name, obj in payload.items()}
+        return cls(classes, weights=weights, hyperparams=hyperparams, seed=seed)
+
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         w = self.weights
@@ -161,11 +169,10 @@ class AutoencoderNetModel(Model):
         h2 = sigmoid(h1 @ w["w2"] + w["b2"])
         return softmax(h2 @ w["ws"] + w["bs"])
 
-    def rank_classes(self, x: np.ndarray) -> np.ndarray:
-        return rank_by_score(self.probabilities(x)[0])
-
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
-        return rank_by_score(self.probabilities(X))
+        """Classes by descending probability, ties to the lower index."""
+        p = self.probabilities(X)
+        return np.lexsort((np.broadcast_to(np.arange(self.n_classes), p.shape), -p), axis=-1)
 
 
 def estimate_memory_mb(n_samples, n_features, hidden1, hidden2, n_classes) -> float:

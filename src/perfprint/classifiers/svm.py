@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from ..errors import ConfigError
-from .base import Model, check_trainable
+from .base import Model, _decode, _encode, check_trainable
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
@@ -87,6 +87,24 @@ class LinearSvmModel(Model):
         self.weights = np.asarray(weights, dtype=np.float64)  # (n_pairs, d)
         self.biases = np.asarray(biases, dtype=np.float64)
 
+    def to_payload(self) -> dict:
+        return {
+            "pairs": [list(p) for p in self.pairs],
+            "weights": _encode(self.weights),
+            "biases": _encode(self.biases),
+        }
+
+    @classmethod
+    def from_payload(cls, classes, payload, hyperparams, seed):
+        return cls(
+            classes,
+            pairs=payload["pairs"],
+            weights=_decode(payload["weights"]),
+            biases=_decode(payload["biases"]),
+            hyperparams=hyperparams,
+            seed=seed,
+        )
+
     def _vote_scores(self, X: np.ndarray):
         decisions = X @ self.weights.T + self.biases  # (n, n_pairs)
         votes = np.zeros((X.shape[0], self.n_classes))
@@ -99,9 +117,6 @@ class LinearSvmModel(Model):
             magnitude[wins_i, ci] += np.abs(dec[wins_i])
             magnitude[~wins_i, cj] += np.abs(dec[~wins_i])
         return votes, magnitude
-
-    def rank_classes(self, x: np.ndarray) -> np.ndarray:
-        return self.rank_classes_many(x[None, :])[0]
 
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
         """Rank by vote count, then by summed |decision value| of the votes

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from ..errors import DataError
 from .base import Model, check_trainable
 
 _FEATURE_CHUNK = 128  # bounds the (n, chunk, classes) temporaries
@@ -82,24 +83,67 @@ class DecisionTreeModel(Model):
         )
         # nodes[i] is either {"counts": array} (leaf) or
         # {"feature": f, "threshold": t, "left": i, "right": j}; node 0 is
-        # the root. Routing sends x[feature] <= threshold to the left child.
+        # the root, and children come after their parent. Routing sends
+        # x[feature] <= threshold to the left child.
         self.nodes = nodes
         self.class_frequency = np.asarray(class_frequency, dtype=np.int64)
+        # Each leaf's ranking, computed once: the classes present in the leaf
+        # by (-count, index), then the absent ones by (-class_frequency, index).
+        idx = np.arange(self.n_classes)
+        self._rankings = np.zeros((len(nodes), self.n_classes), dtype=np.int64)
+        for i, node in enumerate(nodes):
+            if "counts" in node:
+                counts = np.asarray(node["counts"], dtype=np.int64)
+                present = counts > 0
+                key = np.where(present, -counts, -self.class_frequency)
+                self._rankings[i] = np.lexsort((idx, key, ~present))
 
-    def _route(self, x: np.ndarray) -> dict:
-        node = self.nodes[0]
-        while "counts" not in node:
-            node = self.nodes[node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]]
-        return node
+    def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
+        """Route each row from the root to its leaf and return that leaf's
+        ranking."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        leaves = []
+        for x in X:
+            i, node = 0, self.nodes[0]
+            while "counts" not in node:
+                i = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+                node = self.nodes[i]
+            leaves.append(i)
+        return self._rankings[leaves]
 
-    def rank_classes(self, x: np.ndarray) -> np.ndarray:
-        leaf = self._route(np.asarray(x, dtype=np.float64))
-        counts = np.asarray(leaf["counts"], dtype=np.float64)
-        present = np.flatnonzero(counts > 0)
-        absent = np.flatnonzero(counts == 0)
-        present_order = present[np.lexsort((present, -counts[present]))]
-        absent_order = absent[np.lexsort((absent, -self.class_frequency[absent]))]
-        return np.concatenate([present_order, absent_order])
+    def to_payload(self) -> dict:
+        nodes = [
+            {"counts": np.asarray(n["counts"]).tolist()} if "counts" in n
+            else {"feature": int(n["feature"]), "threshold": float(n["threshold"]),
+                  "left": int(n["left"]), "right": int(n["right"])}
+            for n in self.nodes
+        ]
+        return {"nodes": nodes, "class_frequency": self.class_frequency.tolist()}
+
+    @classmethod
+    def from_payload(cls, classes, payload, hyperparams, seed):
+        """Rebuild the tree, checking that every internal node's children
+        are later nodes (so routing always ends at a leaf) and that every
+        leaf counts each class once."""
+        n_nodes, n_classes = len(payload["nodes"]), len(classes)
+        class_frequency = np.array(payload["class_frequency"], dtype=np.int64)
+        if not n_nodes or class_frequency.shape != (n_classes,):
+            raise DataError(f"tree needs nodes and {n_classes} class frequencies")
+        nodes = []
+        for i, node in enumerate(payload["nodes"]):
+            if "counts" in node:
+                counts = np.array(node["counts"], dtype=np.int64)
+                if counts.shape != (n_classes,):
+                    raise DataError(f"tree leaf {i} does not have {n_classes} counts")
+                nodes.append({"counts": counts})
+                continue
+            feature, threshold, children = node["feature"], node["threshold"], (node["left"], node["right"])
+            if not all(type(c) is int and i < c < n_nodes for c in children):
+                raise DataError(f"tree node {i}: children {children} must be later nodes, below {n_nodes}")
+            if not (type(feature) is int and feature >= 0 and isinstance(threshold, (int, float))):
+                raise DataError(f"tree node {i}: bad split on feature {feature!r} at {threshold!r}")
+            nodes.append(dict(node))
+        return cls(classes, nodes, class_frequency, hyperparams=hyperparams, seed=seed)
 
 
 def train_tree(

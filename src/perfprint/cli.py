@@ -50,60 +50,46 @@ def _load_scenario(spec: str):
     )
 
 
-def _write_json(path: str, doc: dict):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+# Each model kind's flags: (flag, trainer keyword, type, default, help), in
+# the order the trainer keywords are written to reports.
+_MODEL_FLAGS = {
+    "knn": [("--k", "k", int, 1, "kNN neighbor count")],
+    "tree": [
+        ("--min-leaf", "min_leaf", int, 1, None),
+        ("--min-parent", "min_parent", int, 10, None),
+        ("--max-splits", "max_splits", int, None, "tree split budget (default N-1)"),
+    ],
+    "svm": [
+        ("--C", "c", float, 1.0, "SVM regularization"),
+        ("--tol", "tol", float, classifiers.svm.DEFAULT_TOL, None),
+        ("--max-passes", "max_passes", int, classifiers.svm.DEFAULT_MAX_PASSES, None),
+    ],
+    "net": [
+        ("--train-seed", "seed", int, 0, None),
+        ("--max-iter", "max_iterations", int, classifiers.net.DEFAULT_MAX_ITERATIONS, None),
+        ("--l2", "l2_weight", float, classifiers.net.DEFAULT_L2_WEIGHT, None),
+        ("--lr", "learning_rate", float, classifiers.net.DEFAULT_LEARNING_RATE, None),
+        ("--memory-budget-mb", "memory_budget_mb", float, classifiers.net.DEFAULT_MEMORY_BUDGET_MB, None),
+        ("--hidden1", "hidden1", int, None, "net hidden-1 units (default 100*N)"),
+        ("--hidden2", "hidden2", int, None, "net hidden-2 units (default 10*N)"),
+        ("--softmax-iter", "softmax_iterations", int, None, None),
+        ("--finetune-iter", "finetune_iterations", int, None, None),
+    ],
+}
 
 
 def _hyperparams(args) -> dict:
-    if args.kind == "knn":
-        return {"k": args.k}
-    if args.kind == "tree":
-        hp = {"min_leaf": args.min_leaf, "min_parent": args.min_parent}
-        if args.max_splits is not None:
-            hp["max_splits"] = args.max_splits
-        return hp
-    if args.kind == "svm":
-        return {"c": args.C, "tol": args.tol, "max_passes": args.max_passes}
-    if args.kind == "net":
-        hp = {
-            "seed": args.train_seed,
-            "max_iterations": args.max_iter,
-            "l2_weight": args.l2,
-            "learning_rate": args.lr,
-            "memory_budget_mb": args.memory_budget_mb,
-        }
-        if args.hidden1 is not None:
-            hp["hidden1"] = args.hidden1
-        if args.hidden2 is not None:
-            hp["hidden2"] = args.hidden2
-        if args.softmax_iter is not None:
-            hp["softmax_iterations"] = args.softmax_iter
-        if args.finetune_iter is not None:
-            hp["finetune_iterations"] = args.finetune_iter
-        return hp
-    raise ConfigError(f"unknown model kind {args.kind!r}")
+    """The trainer keywords of the chosen kind; flags left unset are dropped."""
+    flags = _MODEL_FLAGS[args.kind]
+    values = {kw: getattr(args, flag[2:].replace("-", "_")) for flag, kw, *_ in flags}
+    return {kw: value for kw, value in values.items() if value is not None}
 
 
 def _add_model_flags(parser):
     parser.add_argument("--kind", required=True, choices=classifiers.MODEL_KINDS)
-    parser.add_argument("--k", type=int, default=1, help="kNN neighbor count")
-    parser.add_argument("--max-splits", type=int, default=None, help="tree split budget (default N-1)")
-    parser.add_argument("--min-leaf", type=int, default=1)
-    parser.add_argument("--min-parent", type=int, default=10)
-    parser.add_argument("--C", type=float, default=1.0, help="SVM regularization")
-    parser.add_argument("--tol", type=float, default=classifiers.svm.DEFAULT_TOL)
-    parser.add_argument("--max-passes", type=int, default=classifiers.svm.DEFAULT_MAX_PASSES)
-    parser.add_argument("--hidden1", type=int, default=None, help="net hidden-1 units (default 100*N)")
-    parser.add_argument("--hidden2", type=int, default=None, help="net hidden-2 units (default 10*N)")
-    parser.add_argument("--max-iter", type=int, default=classifiers.net.DEFAULT_MAX_ITERATIONS)
-    parser.add_argument("--softmax-iter", type=int, default=None)
-    parser.add_argument("--finetune-iter", type=int, default=None)
-    parser.add_argument("--l2", type=float, default=classifiers.net.DEFAULT_L2_WEIGHT)
-    parser.add_argument("--lr", type=float, default=classifiers.net.DEFAULT_LEARNING_RATE)
-    parser.add_argument("--memory-budget-mb", type=float, default=classifiers.net.DEFAULT_MEMORY_BUDGET_MB)
-    parser.add_argument("--train-seed", type=int, default=0)
+    for flags in _MODEL_FLAGS.values():
+        for flag, _, type_, default, help_ in flags:
+            parser.add_argument(flag, type=type_, default=default, help=help_)
 
 
 def cmd_collect(args) -> int:
@@ -246,7 +232,7 @@ def cmd_crossval(args) -> int:
         "data": args.data,
         "data_sha256": _sha256(args.data),
     }
-    _write_json(args.out, doc)
+    dataset.write_json(args.out, doc)
     print(f"mean success rate {result.mean_success_rate:.4f} over {args.folds} folds")
     return 0
 
@@ -290,7 +276,7 @@ def cmd_mitigate(args) -> int:
         "data": args.data,
         "data_sha256": _sha256(args.data),
     }
-    _write_json(args.out, doc)
+    dataset.write_json(args.out, doc)
     print(
         f"success rate {result.before.success_rate:.4f} -> "
         f"{result.after.success_rate:.4f} "

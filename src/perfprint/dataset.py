@@ -274,7 +274,8 @@ def _header_line(d: Dataset) -> str:
 
 
 def _check_label(label: str):
-    if "," in label or "\n" in label:
+    # A row must stay one line under str.splitlines, which `load` splits by.
+    if "," in label or label.splitlines() not in ([label], []):
         raise DataError(f"label {label!r} contains a reserved character")
 
 
@@ -299,6 +300,13 @@ def _write_atomic(path: str, lines):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_json(path: str, doc):
+    """Write `doc` atomically as compact JSON and a newline. The encoded
+    chunks are streamed, as `json.dump` does, rather than joined first."""
+    chunks = json.JSONEncoder(separators=(",", ":")).iterencode(doc)
+    _write_atomic(path, itertools.chain(chunks, ["\n"]))
 
 
 def save(d: Dataset, path: str):
@@ -328,16 +336,18 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
     if header.get("version") != FILE_VERSION:
         raise DataError(f"{path}: unsupported version {header.get('version')!r}")
 
-    events = header.get("events")
-    if events is not None:
-        for name in events:
-            if name not in EVENT_KINDS:
-                raise DataError(f"{path}: header references unknown event {name!r}")
+    for key, kind, item in (("events", list, str), ("classes", list, str), ("row_meta", list, dict),
+                            ("meta", dict, object), ("normalization", dict, object)):
+        value = header.get(key)
+        if value is not None and not (isinstance(value, kind) and all(isinstance(v, item) for v in value)):
+            of = "" if item is object else f" of {item.__name__}"
+            raise DataError(f"{path}: line 1: {key} is not a {kind.__name__}{of}")
+    for name in header.get("events") or []:
+        if name not in EVENT_KINDS:
+            raise DataError(f"{path}: header references unknown event {name!r}")
 
     length = header.get("feature_length")
     row_meta = header.get("row_meta")
-    if row_meta is not None and not isinstance(row_meta, list):
-        raise DataError(f"{path}: line 1: row_meta is not a list")
     measurements = []
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -373,10 +383,13 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
 
     normalization = None
     if header.get("normalization") is not None:
-        normalization = NormParams(
-            feature_min=np.array(header["normalization"]["min"], dtype=np.float64),
-            feature_max=np.array(header["normalization"]["max"], dtype=np.float64),
-        )
+        try:
+            normalization = NormParams(
+                feature_min=np.array(header["normalization"]["min"], dtype=np.float64),
+                feature_max=np.array(header["normalization"]["max"], dtype=np.float64),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
     meta = dict(header.get("meta") or {})
     for key in ("scenario", "events", "samples_per_event"):
         if header.get(key) is not None:

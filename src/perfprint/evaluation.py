@@ -10,12 +10,11 @@ weighted by test counts average back to the success rate.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, kfold
+from .dataset import Dataset, kfold, write_json
 from .errors import ConfigError, DataError
 
 
@@ -158,9 +157,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def write_report_json(report: EvalReport, path: str):
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, report_to_dict(report))
 
 
 def write_per_class_csv(report: EvalReport, path: str):

@@ -64,6 +64,24 @@ def test_hand_built_tree_routing():
     assert model.predict([6.0, 3.0]) == "C"
 
 
+def test_batch_ranking_equals_per_row_ranking():
+    # Ties among present classes (B and D in the left leaf) and among
+    # absent classes (A and C share the global frequency in both leaves).
+    nodes = [
+        {"feature": 1, "threshold": 0.5, "left": 1, "right": 2},
+        {"counts": np.array([0, 2, 0, 2, 1])},
+        {"counts": np.array([0, 0, 0, 0, 3])},
+    ]
+    model = DecisionTreeModel(
+        classes=["A", "B", "C", "D", "E"], nodes=nodes,
+        class_frequency=np.array([3, 2, 3, 2, 4]),
+    )
+    X = np.array([[9.0, 0.0], [9.0, 1.0], [-1.0, 0.5], [0.0, 0.6]])
+    batch = model.rank_classes_many(X)
+    assert np.array_equal(batch, np.stack([model.rank_classes(x) for x in X]))
+    assert batch.tolist()[:2] == [[1, 3, 4, 0, 2], [4, 0, 2, 1, 3]]
+
+
 def test_leaf_distribution_argmax_and_topk():
     nodes = [{"counts": np.array([7, 3, 0])}]
     model = DecisionTreeModel(

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import perfprint
 from perfprint import collector, dataset
 from perfprint.cli import main
 
@@ -72,7 +76,13 @@ def test_missing_data_file_exits_three(tmp_path):
     {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "classes": ["a"],
      "row_meta": [{"visit": 0}]},
     ["perfprint-dataset", 1],
-], ids=["short-row-meta", "list-header"])
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1,
+     "normalization": {"min": [0.0]}},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "events": 3},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "classes": 1},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "meta": [["k", "v"]]},
+], ids=["short-row-meta", "list-header", "normalization-without-max", "int-events",
+        "int-classes", "list-meta"])
 def test_prep_on_malformed_header_exits_three(tmp_path, capsys, header):
     data = tmp_path / "bad.csv"
     data.write_text(json.dumps(header) + "\na,1.0\na,2.0\n")
@@ -186,3 +196,94 @@ def test_full_pipeline_net_regression(tmp_path):
     assert run("evaluate", "--data", test, "--model", model, "--out-dir", reports) == 0
     report = json.loads((reports / "report.json").read_text())
     assert report["success_rate"] == PIPELINE_FROZEN_SUCCESS_RATE
+
+
+def _train_cli_model(tmp_path, kind, *flags):
+    """Train on a small synthetic split; return the model and test paths."""
+    full, train, test = tmp_path / "full.csv", tmp_path / "train.csv", tmp_path / "test.csv"
+    model = tmp_path / f"{kind}.json"
+    assert run(*synth_args(full)) == 0
+    assert run("prep", "--data", full, "--normalize", "--split-train", 6,
+               "--split-test", 2, "--train-out", train, "--test-out", test) == 0
+    assert run("train", "--data", train, "--kind", kind, "--out", model, *flags) == 0
+    return model, test
+
+
+def _drop_classes(doc):
+    del doc["classes"]
+
+
+def _list_payload(doc):
+    doc["payload"] = [doc["payload"]]
+
+
+def _child_out_of_range(doc):
+    nodes = doc["payload"]["nodes"]
+    next(n for n in nodes if "left" in n)["right"] = len(nodes)
+
+
+def _root_is_its_own_child(doc):
+    doc["payload"]["nodes"][0]["left"] = 0
+
+
+def _short_leaf_counts(doc):
+    leaf = next(n for n in doc["payload"]["nodes"] if "counts" in n)
+    leaf["counts"] = leaf["counts"][:-1]
+
+
+@pytest.mark.parametrize("corrupt, kind", [
+    (_drop_classes, "knn"),
+    (_list_payload, "knn"),
+    (_child_out_of_range, "tree"),
+    (_root_is_its_own_child, "tree"),
+    (_short_leaf_counts, "tree"),
+], ids=["no-classes", "list-payload", "child-out-of-range", "root-loops", "short-leaf-counts"])
+def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
+    model, test = _train_cli_model(tmp_path, kind, "--min-parent", 2)
+    doc = json.loads(model.read_text())
+    corrupt(doc)
+    model.write_text(json.dumps(doc))
+    # A separate process, so a model that routes forever fails by timeout
+    # instead of hanging the suite.
+    src = os.path.dirname(os.path.dirname(perfprint.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from perfprint.cli import main; sys.exit(main())",
+         "evaluate", "--data", str(test), "--model", str(model), "--out-dir", str(tmp_path / "r")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {model}: ")
+    assert "Traceback" not in proc.stderr
+
+
+# The trainer keywords crossval records, in the order it writes them.
+CROSSVAL_HYPERPARAMS = [
+    ("knn", [], {"k": 1}),
+    ("knn", ["--k", 3], {"k": 3}),
+    ("tree", [], {"min_leaf": 1, "min_parent": 10}),
+    ("tree", ["--max-splits", 2, "--min-leaf", 2, "--min-parent", 4],
+     {"min_leaf": 2, "min_parent": 4, "max_splits": 2}),
+    ("svm", [], {"c": 1.0, "tol": 0.001, "max_passes": 1000}),
+    ("svm", ["--C", 0.5, "--tol", 0.01, "--max-passes", 50],
+     {"c": 0.5, "tol": 0.01, "max_passes": 50}),
+    ("net", [], {"seed": 0, "max_iterations": 400, "l2_weight": 0.001,
+                 "learning_rate": 0.1, "memory_budget_mb": 2048.0}),
+    ("net", ["--train-seed", 3, "--max-iter", 5, "--hidden1", 8, "--hidden2", 4,
+             "--softmax-iter", 6, "--finetune-iter", 7, "--l2", 0.01, "--lr", 0.2,
+             "--memory-budget-mb", 100],
+     {"seed": 3, "max_iterations": 5, "l2_weight": 0.01, "learning_rate": 0.2,
+      "memory_budget_mb": 100.0, "hidden1": 8, "hidden2": 4, "softmax_iterations": 6,
+      "finetune_iterations": 7}),
+]
+
+
+@pytest.mark.parametrize("kind, flags, expected", CROSSVAL_HYPERPARAMS)
+def test_crossval_records_the_trainer_keywords(tmp_path, kind, flags, expected):
+    full = tmp_path / "full.csv"
+    out = tmp_path / "cv.json"
+    assert run(*synth_args(full, classes=2, per_class=4, samples=8)) == 0
+    assert run("crossval", "--data", full, "--kind", kind, "--folds", 2,
+               "--out", out, *flags) == 0
+    hyperparams = json.loads(out.read_text())["hyperparams"]
+    assert list(hyperparams.items()) == list(expected.items())

@@ -279,6 +279,20 @@ def test_save_rejects_reserved_label_characters(tmp_path):
         dataset.save(d, str(tmp_path / "x.csv"))
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("write", ["save", "append"])
+def test_labels_with_any_line_break_are_rejected(tmp_path, brk, write):
+    path = tmp_path / "x.csv"
+    label = f"a{brk}b"
+    with pytest.raises(DataError, match="reserved"):
+        if write == "save":
+            dataset.save(build_dataset([[1.0]], [label]), str(path))
+        else:
+            dataset.append_measurement(str(path), Measurement(label=label, features=[1.0]))
+    assert not path.exists()
+
+
 def test_append_measurement(tmp_path):
     path = tmp_path / "trace.csv"
     m1 = Measurement(label="a", features=np.array([1.0, 2.0]))

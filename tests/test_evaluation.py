@@ -17,10 +17,12 @@ class OracleModel(Model):
 
     kind = "oracle"
 
-    def rank_classes(self, x):
-        true = int(round(x[0]))
-        rest = [i for i in range(self.n_classes) if i != true]
-        return np.array([true] + rest)
+    def rank_classes_many(self, X):
+        rankings = []
+        for x in X:
+            true = int(round(x[0]))
+            rankings.append([true] + [i for i in range(self.n_classes) if i != true])
+        return np.array(rankings)
 
 
 class UniformRandomModel(Model):
@@ -32,8 +34,8 @@ class UniformRandomModel(Model):
         super().__init__(classes)
         self._rng = np.random.default_rng(seed)
 
-    def rank_classes(self, x):
-        return self._rng.permutation(self.n_classes)
+    def rank_classes_many(self, X):
+        return np.stack([self._rng.permutation(self.n_classes) for _ in X])
 
 
 def _indexed_dataset(n_classes, per_class):

@@ -1,5 +1,7 @@
 """Uniform contract shared by all four model kinds, plus persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,33 @@ def test_model_files_are_byte_stable(toy, tmp_path, kind, params):
     save_model(make_trainer(kind, **params)(d), str(first))
     save_model(make_trainer(kind, **params)(d), str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
+def test_resaving_a_loaded_model_gives_the_same_bytes(toy, tmp_path, kind, params):
+    d, _ = toy
+    first = tmp_path / "one.json"
+    second = tmp_path / "two.json"
+    save_model(make_trainer(kind, **params)(d), str(first), provenance={"train_data": "toy"})
+    loaded = load_model(str(first))
+    save_model(loaded, str(second), provenance=loaded.provenance)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_failed_save_leaves_the_old_model_file(toy, tmp_path, monkeypatch):
+    d, _ = toy
+    path = tmp_path / "m.json"
+    save_model(make_trainer("knn", k=1)(d), str(path))
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        save_model(make_trainer("knn", k=3)(d), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_load_rejects_garbage(tmp_path):
