@@ -40,6 +40,19 @@ class Model:
         row per row of X. Subclasses implement."""
         raise NotImplementedError
 
+    @property
+    def n_features(self) -> int | None:
+        """The feature width the model was trained on, where it needs rows
+        of exactly that width."""
+        return None
+
+    def check_width(self, width: int):
+        """Raise DataError when rows `width` features wide cannot be ranked."""
+        if self.n_features is not None and width != self.n_features:
+            raise DataError(
+                f"{self.kind} model takes {self.n_features} features per row, data has {width}"
+            )
+
     def rank_classes(self, x: np.ndarray) -> np.ndarray:
         return self.rank_classes_many(np.asarray(x, dtype=np.float64)[None, :])[0]
 

@@ -21,6 +21,10 @@ class KnnModel(Model):
         self.train_y = np.asarray(train_y, dtype=np.int64)
         self.k = int(k)
 
+    @property
+    def n_features(self) -> int:
+        return self.train_x.shape[1]
+
     def to_payload(self) -> dict:
         return {"k": self.k, "train_x": _encode(self.train_x), "train_y": self.train_y.tolist()}
 

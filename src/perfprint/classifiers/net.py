@@ -46,23 +46,23 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 def autoencoder_loss(params, X, l2):
     """Mean squared reconstruction error over all entries plus L2 on both
-    weight matrices (biases unregularized). Sigmoid encoder, linear decoder."""
+    weight matrices (biases unregularized). Sigmoid encoder, linear decoder.
+    Returns (loss, cache); the cache holds the forward pass for
+    `autoencoder_grads`."""
     we, be, wd, bd = params
     h = sigmoid(X @ we + be)
-    xhat = h @ wd + bd
-    err = xhat - X
+    err = h @ wd + bd - X
     # zero-width inputs (access-denied datasets) have nothing to reconstruct
     mse = 0.5 * float((err * err).mean()) if err.size else 0.0
     reg = 0.5 * l2 * (float((we * we).sum()) + float((wd * wd).sum()))
-    return mse + reg
+    return mse + reg, (h, err)
 
 
-def autoencoder_grads(params, X, l2):
+def autoencoder_grads(params, X, l2, cache):
     we, be, wd, bd = params
-    h = sigmoid(X @ we + be)
-    xhat = h @ wd + bd
+    h, err = cache
     scale = 1.0 / X.size if X.size else 0.0
-    d_out = (xhat - X) * scale
+    d_out = err * scale
     g_wd = h.T @ d_out + l2 * wd
     g_bd = d_out.sum(axis=0)
     d_h = (d_out @ wd.T) * h * (1.0 - h)
@@ -71,41 +71,40 @@ def autoencoder_grads(params, X, l2):
     return [g_we, g_be, g_wd, g_bd]
 
 
+def _cross_entropy(p, y_onehot) -> float:
+    return -float(np.log(np.clip((p * y_onehot).sum(axis=1), 1e-300, None)).mean())
+
+
 def softmax_loss(params, H, y_onehot, l2):
+    """Cross-entropy plus L2 on the weights; returns (loss, cache)."""
     ws, bs = params
     p = softmax(H @ ws + bs)
-    ce = -float(np.log(np.clip((p * y_onehot).sum(axis=1), 1e-300, None)).mean())
-    return ce + 0.5 * l2 * float((ws * ws).sum())
+    return _cross_entropy(p, y_onehot) + 0.5 * l2 * float((ws * ws).sum()), p
 
 
-def softmax_grads(params, H, y_onehot, l2):
+def softmax_grads(params, H, y_onehot, l2, cache):
     ws, bs = params
-    p = softmax(H @ ws + bs)
-    d_z = (p - y_onehot) / H.shape[0]
+    d_z = (cache - y_onehot) / H.shape[0]
     return [H.T @ d_z + l2 * ws, d_z.sum(axis=0)]
 
 
 def stack_loss(params, X, y_onehot, l2):
     """Cross-entropy of the full encoder stack plus L2 on all three weight
-    matrices. `params` is (W1, b1, W2, b2, Ws, bs)."""
+    matrices. `params` is (W1, b1, W2, b2, Ws, bs). Returns (loss, cache)."""
     w1, b1, w2, b2, ws, bs = params
     h1 = sigmoid(X @ w1 + b1)
     h2 = sigmoid(h1 @ w2 + b2)
     p = softmax(h2 @ ws + bs)
-    ce = -float(np.log(np.clip((p * y_onehot).sum(axis=1), 1e-300, None)).mean())
     reg = 0.5 * l2 * (
         float((w1 * w1).sum()) + float((w2 * w2).sum()) + float((ws * ws).sum())
     )
-    return ce + reg
+    return _cross_entropy(p, y_onehot) + reg, (h1, h2, p)
 
 
-def stack_grads(params, X, y_onehot, l2):
+def stack_grads(params, X, y_onehot, l2, cache):
     w1, b1, w2, b2, ws, bs = params
-    n = X.shape[0]
-    h1 = sigmoid(X @ w1 + b1)
-    h2 = sigmoid(h1 @ w2 + b2)
-    p = softmax(h2 @ ws + bs)
-    d_z3 = (p - y_onehot) / n
+    h1, h2, p = cache
+    d_z3 = (p - y_onehot) / X.shape[0]
     g_ws = h2.T @ d_z3 + l2 * ws
     g_bs = d_z3.sum(axis=0)
     d_h2 = (d_z3 @ ws.T) * h2 * (1.0 - h2)
@@ -120,23 +119,32 @@ def stack_grads(params, X, y_onehot, l2):
 def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
     """Full-batch gradient descent with halving on loss increase.
 
-    A step that would raise the loss is rejected and the rate halved, so the
-    returned history is non-increasing. Stops early once the rate underflows.
+    `loss_fn(params)` returns (loss, cache) and `grad_fn(params, cache)` the
+    gradients from that cache, so each step runs one forward pass (the
+    trial's) and, after an accepted step, one backward pass. A step that
+    would raise the loss is rejected and the rate halved, keeping the
+    gradients already computed, so the returned history is non-increasing.
+    Stops early once the rate underflows.
     """
     params = [p.copy() for p in params]
     lr = learning_rate
-    loss = loss_fn(params)
+    loss, cache = loss_fn(params)
     history = [loss]
+    grads = None
     for _ in range(max_iterations):
-        grads = grad_fn(params)
+        if grads is None:
+            grads = grad_fn(params, cache)
+            cache = None  # the activations are not needed once the gradients exist
         trial = [p - lr * g for p, g in zip(params, grads)]
-        new_loss = loss_fn(trial)
+        new_loss, new_cache = loss_fn(trial)
         if new_loss <= loss:
-            params, loss = trial, new_loss
+            params, loss, cache, grads = trial, new_loss, new_cache, None
         else:
             lr *= 0.5
             if lr < _MIN_LEARNING_RATE:
                 break
+        # A rejected trial and its activations are dropped before the next one.
+        trial = new_cache = None
         history.append(loss)
     return params, history
 
@@ -153,6 +161,10 @@ class AutoencoderNetModel(Model):
         # weights: dict with w1, b1, w2, b2, ws, bs
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
         self.loss_history: dict[str, list[float]] = {}
+
+    @property
+    def n_features(self) -> int:
+        return self.weights["w1"].shape[0]
 
     def to_payload(self) -> dict:
         return {name: _encode(arr) for name, arr in self.weights.items()}
@@ -176,9 +188,27 @@ class AutoencoderNetModel(Model):
 
 
 def estimate_memory_mb(n_samples, n_features, hidden1, hidden2, n_classes) -> float:
-    weight_floats = 2 * n_features * hidden1 + 2 * hidden1 * hidden2 + hidden2 * n_classes
-    activation_floats = n_samples * (n_features + hidden1 + hidden2 + n_classes)
-    return 8.0 * (weight_floats + activation_floats) / 1e6
+    """An upper bound, in MB, on the float64 arrays training holds at once.
+
+    Held for the whole run: the initial weights of every stage and the
+    weights of the finished autoencoder stages. A stage in `descend` holds
+    its current weights, their gradients and a trial step, plus the
+    temporary of the update being formed: 3.5 times its weights, counted for
+    the largest stage. Activations: the input, the reconstruction error and
+    its derivative at input width, and a few layers of hidden activations.
+    """
+    n, d, h1, h2, c = n_samples, n_features, hidden1, hidden2, n_classes
+    initial = 2 * d * h1 + 2 * h1 * h2 + h2 * c
+    stages = (
+        2 * d * h1 + h1 + d,  # first autoencoder
+        2 * h1 * h2 + h2 + h1,  # second autoencoder
+        h2 * c + c,  # softmax head
+        d * h1 + h1 + h1 * h2 + h2 + h2 * c + c,  # fine-tuning
+    )
+    held = initial + stages[0] + stages[1]
+    working = 3.5 * max(stages)
+    activations = n * (4 * d + 4 * h1 + 2 * h2 + 3 * c)
+    return 8.0 * (held + working + activations) / 1e6
 
 
 def train_net(
@@ -233,7 +263,7 @@ def train_net(
     ae1, hist1 = descend(
         [we1, np.zeros(h1), wd1, np.zeros(d)],
         lambda p: autoencoder_loss(p, X, l2_weight),
-        lambda p: autoencoder_grads(p, X, l2_weight),
+        lambda p, cache: autoencoder_grads(p, X, l2_weight, cache),
         max_iterations,
         learning_rate,
     )
@@ -242,7 +272,7 @@ def train_net(
     ae2, hist2 = descend(
         [we2, np.zeros(h2), wd2, np.zeros(h1)],
         lambda p: autoencoder_loss(p, h1_act, l2_weight),
-        lambda p: autoencoder_grads(p, h1_act, l2_weight),
+        lambda p, cache: autoencoder_grads(p, h1_act, l2_weight, cache),
         max_iterations,
         learning_rate,
     )
@@ -253,7 +283,7 @@ def train_net(
     sm, hist3 = descend(
         [ws, np.zeros(n_classes)],
         lambda p: softmax_loss(p, h2_act, y_onehot, l2_weight),
-        lambda p: softmax_grads(p, h2_act, y_onehot, l2_weight),
+        lambda p, cache: softmax_grads(p, h2_act, y_onehot, l2_weight, cache),
         softmax_iterations,
         learning_rate,
     )
@@ -261,7 +291,7 @@ def train_net(
     stack, hist4 = descend(
         [ae1[0], ae1[1], ae2[0], ae2[1], sm[0], sm[1]],
         lambda p: stack_loss(p, X, y_onehot, l2_weight),
-        lambda p: stack_grads(p, X, y_onehot, l2_weight),
+        lambda p, cache: stack_grads(p, X, y_onehot, l2_weight, cache),
         finetune_iterations,
         learning_rate,
     )

@@ -33,14 +33,18 @@ def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAU
     n = X.shape[0]
     xa = np.hstack([X, np.ones((n, 1))])
     q = (xa @ xa.T) * np.outer(y, y)
-    q_diag = np.diag(q).copy()
-    alpha = np.zeros(n)
+    # The sweep reads and writes single coordinates, so alpha and the
+    # diagonal are Python floats (the same IEEE doubles, without numpy's
+    # per-scalar overhead); only the running Q @ alpha stays a vector.
+    q_rows = list(q)
+    q_diag = np.diag(q).tolist()
+    alpha = [0.0] * n
     q_alpha = np.zeros(n)  # running Q @ alpha
 
     for _ in range(max_passes):
         worst = 0.0
         for i in range(n):
-            g = q_alpha[i] - 1.0
+            g = q_alpha.item(i) - 1.0
             a = alpha[i]
             if a <= 0.0:
                 pg = min(g, 0.0)
@@ -55,10 +59,11 @@ def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAU
                 delta = new_a - a
                 if delta != 0.0:
                     alpha[i] = new_a
-                    q_alpha += delta * q[i]
+                    q_alpha += delta * q_rows[i]
         if worst < tol:
             break
 
+    alpha = np.array(alpha, dtype=np.float64)
     w_aug = xa.T @ (alpha * y)
     dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
     return w_aug[:-1], float(w_aug[-1]), alpha, dual
@@ -86,6 +91,10 @@ class LinearSvmModel(Model):
         self.pairs = [tuple(p) for p in pairs]  # (lower idx, higher idx) per model
         self.weights = np.asarray(weights, dtype=np.float64)  # (n_pairs, d)
         self.biases = np.asarray(biases, dtype=np.float64)
+
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[1]
 
     def to_payload(self) -> dict:
         return {

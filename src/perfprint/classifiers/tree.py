@@ -19,14 +19,29 @@ from .base import Model, check_trainable
 _FEATURE_CHUNK = 128  # bounds the (n, chunk, classes) temporaries
 
 
-def _entropy(counts: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits along the last axis of a count array."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum(axis=-1, keepdims=True)
+def _entropy_terms(n: int) -> np.ndarray:
+    """Flat table of entropy terms: entry t*(n+1) + c holds (c/t)*log2(c/t)
+    for a count c out of a total t, both in 0..n (0 where c is 0).
+
+    The entropy of a count vector is minus the sum of its terms. Summing
+    terms gathered from the table over the class axis adds the same floats
+    in the same order as computing them per node, so gains, ties and the
+    chosen splits do not change.
+    """
+    c = np.arange(n + 1, dtype=np.float64)
+    t = c[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / np.where(total > 0, total, 1.0)
-        term = np.where(counts > 0, p * np.log2(p), 0.0)
-    return -term.sum(axis=-1)
+        p = c / np.where(t > 0, t, 1.0)
+        term = np.where(c > 0, p * np.log2(p), 0.0)
+    return term.ravel()
+
+
+def _split_threshold(lo: float, hi: float) -> float:
+    """The midpoint of two consecutive distinct values, or `lo` where the
+    midpoint rounds onto `hi` (adjacent doubles) or overflows, so that
+    routing by x <= threshold separates them as the scored split did."""
+    mid = (lo + hi) / 2.0
+    return mid if lo <= mid < hi else lo
 
 
 def best_split(X: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int = 1):
@@ -35,11 +50,20 @@ def best_split(X: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int = 1):
     exists. Ties resolve to the lowest feature index, then lowest threshold.
     """
     n, n_features = X.shape
+    if n < 2:
+        return None
     parent_counts = np.bincount(y, minlength=n_classes)
-    h_parent = float(_entropy(parent_counts))
+    terms = _entropy_terms(n)
+    h_parent = -float(terms[n * (n + 1) + parent_counts].sum())
     best = None
     n_left = np.arange(1, n, dtype=np.float64)[:, None]
     n_right = n - n_left
+    # Row i of the cumulative counts splits after sorted row i: i+1 rows go
+    # left, the rest right. Offsets pick each side's total in the table, so
+    # right-hand indices are (right offset + parent counts) - left counts.
+    n_left_rows = np.arange(1, n)[:, None, None]
+    left_offset = n_left_rows * (n + 1)
+    right_base = (n - n_left_rows) * (n + 1) + parent_counts
     for start in range(0, n_features, _FEATURE_CHUNK):
         cols = slice(start, min(start + _FEATURE_CHUNK, n_features))
         xc = X[:, cols]
@@ -47,22 +71,22 @@ def best_split(X: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int = 1):
         vals = np.take_along_axis(xc, order, axis=0)
         y_sorted = y[order]  # (n, chunk)
         onehot = y_sorted[:, :, None] == np.arange(n_classes)[None, None, :]
-        left_counts = onehot.cumsum(axis=0, dtype=np.int32)[:-1]  # split after row i
-        right_counts = parent_counts[None, None, :] - left_counts
-        child = (n_left * _entropy(left_counts) + n_right * _entropy(right_counts)) / n
+        left_counts = onehot.cumsum(axis=0, dtype=np.intp)[:-1]  # split after row i
+        h_right = -terms[right_base - left_counts].sum(axis=-1)
+        left_counts += left_offset
+        h_left = -terms[left_counts].sum(axis=-1)
+        child = (n_left * h_left + n_right * h_right) / n
         gain = h_parent - child
         valid = (vals[:-1] < vals[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
         gain = np.where(valid, gain, -np.inf)
-        if not np.isfinite(gain).any():
-            continue
-        for j in range(gain.shape[1]):
-            pos = int(np.argmax(gain[:, j]))
-            g = gain[pos, j]
-            if not np.isfinite(g):
-                continue
-            if best is None or g > best[0]:
-                thr = (vals[pos, j] + vals[pos + 1, j]) / 2.0
-                best = (float(g), start + j, float(thr))
+        # The first best row of each column, then the first best column.
+        pos = gain.argmax(axis=0)
+        col_best = gain[pos, np.arange(gain.shape[1])]
+        j = int(col_best.argmax())
+        g = col_best[j]
+        if np.isfinite(g) and (best is None or g > best[0]):
+            thr = _split_threshold(float(vals[pos[j], j]), float(vals[pos[j] + 1, j]))
+            best = (float(g), start + j, thr)
     return best
 
 
@@ -110,6 +134,12 @@ class DecisionTreeModel(Model):
                 node = self.nodes[i]
             leaves.append(i)
         return self._rankings[leaves]
+
+    def check_width(self, width: int):
+        """Any width that holds every split feature routes."""
+        used = [node["feature"] for node in self.nodes if "counts" not in node]
+        if used and max(used) >= width:
+            raise DataError(f"tree model splits on feature {max(used)}, data has {width} features")
 
     def to_payload(self) -> dict:
         nodes = [

@@ -53,6 +53,7 @@ def evaluate(model, test: Dataset, g_max: int | None = None) -> EvalReport:
     missing = sorted(set(test.classes) - set(model.classes))
     if missing:
         raise DataError(f"model does not know test classes: {missing}")
+    model.check_width(test.feature_length)
     n_classes = model.n_classes
     if g_max is None:
         g_max = n_classes

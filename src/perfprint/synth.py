@@ -54,8 +54,9 @@ class ClassProfile:
 
 
 def _class_waveform(rng: np.random.Generator, length: int) -> np.ndarray:
-    # Step function: few wide phases with distinct count levels.
-    n_phases = int(rng.integers(3, 7))
+    # Step function: few wide phases with distinct count levels, at most one
+    # per sample.
+    n_phases = min(int(rng.integers(3, 7)), length)
     boundaries = np.sort(rng.choice(np.arange(1, length), size=n_phases - 1, replace=False))
     levels = rng.uniform(20.0, 120.0, size=n_phases)
     segments = np.diff(np.concatenate([[0], boundaries, [length]]))

@@ -108,3 +108,92 @@ def finite_difference_grads(loss_fn, params, h=1e-5):
             flat_g[i] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+# -- reference copies of replaced hot loops -----------------------------------
+# The trainers' fast paths must reproduce these bit for bit; the equivalence
+# tests compare them on random small problems.
+
+
+def _reference_entropy(counts):
+    """Shannon entropy in bits along the last axis, from float counts."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / np.where(total > 0, total, 1.0)
+        term = np.where(counts > 0, p * np.log2(p), 0.0)
+    return -term.sum(axis=-1)
+
+
+def reference_best_split(X, y, n_classes, min_leaf=1, chunk=128):
+    """The tree's split scan before the entropy table: float entropies of
+    every candidate's children and a per-column argmax loop. Thresholds are
+    plain midpoints."""
+    n, n_features = X.shape
+    parent_counts = np.bincount(y, minlength=n_classes)
+    h_parent = float(_reference_entropy(parent_counts))
+    best = None
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    for start in range(0, n_features, chunk):
+        cols = slice(start, min(start + chunk, n_features))
+        xc = X[:, cols]
+        order = np.argsort(xc, axis=0, kind="stable")
+        vals = np.take_along_axis(xc, order, axis=0)
+        y_sorted = y[order]
+        onehot = y_sorted[:, :, None] == np.arange(n_classes)[None, None, :]
+        left_counts = onehot.cumsum(axis=0, dtype=np.int32)[:-1]
+        right_counts = parent_counts[None, None, :] - left_counts
+        child = (n_left * _reference_entropy(left_counts)
+                 + n_right * _reference_entropy(right_counts)) / n
+        gain = h_parent - child
+        valid = (vals[:-1] < vals[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        gain = np.where(valid, gain, -np.inf)
+        if not np.isfinite(gain).any():
+            continue
+        for j in range(gain.shape[1]):
+            pos = int(np.argmax(gain[:, j]))
+            g = gain[pos, j]
+            if not np.isfinite(g):
+                continue
+            if best is None or g > best[0]:
+                thr = (vals[pos, j] + vals[pos + 1, j]) / 2.0
+                best = (float(g), start + j, float(thr))
+    return best
+
+
+def reference_solve_pair(X, y, c, tol, max_passes):
+    """The SVM pair solver's coordinate sweep on numpy arrays and scalars,
+    as it was before the sweep moved to Python floats."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    xa = np.hstack([X, np.ones((n, 1))])
+    q = (xa @ xa.T) * np.outer(y, y)
+    q_diag = np.diag(q).copy()
+    alpha = np.zeros(n)
+    q_alpha = np.zeros(n)
+    for _ in range(max_passes):
+        worst = 0.0
+        for i in range(n):
+            g = q_alpha[i] - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= c:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if abs(pg) > worst:
+                worst = abs(pg)
+            if abs(pg) > 1e-14:
+                new_a = min(max(a - g / q_diag[i], 0.0), c)
+                delta = new_a - a
+                if delta != 0.0:
+                    alpha[i] = new_a
+                    q_alpha += delta * q[i]
+        if worst < tol:
+            break
+    w_aug = xa.T @ (alpha * y)
+    dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
+    return w_aug[:-1], float(w_aug[-1]), alpha, dual

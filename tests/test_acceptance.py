@@ -220,9 +220,9 @@ def test_criterion_4_network_numerics():
             rng.normal(scale=0.5, size=shape)
             for shape in [(4, 3), (3,), (3, 2), (2,), (2, 2), (2,)]
         ]
-        analytic = stack_grads(params, X, onehot, 0.001)
+        analytic = stack_grads(params, X, onehot, 0.001, stack_loss(params, X, onehot, 0.001)[1])
         numeric = finite_difference_grads(
-            lambda p: stack_loss(p, X, onehot, 0.001), params, h=1e-5
+            lambda p: stack_loss(p, X, onehot, 0.001)[0], params, h=1e-5
         )
         worst = 0.0
         for a, n in zip(analytic, numeric):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from perfprint.classifiers import train_net
 from perfprint.classifiers.net import (
+    DEFAULT_MEMORY_BUDGET_MB,
     autoencoder_grads,
     autoencoder_loss,
     descend,
@@ -36,8 +39,8 @@ def test_stack_gradients_match_finite_differences():
         rng.normal(scale=0.5, size=shape)
         for shape in [(4, 3), (3,), (3, 2), (2,), (2, 2), (2,)]
     ]
-    analytic = stack_grads(params, X, onehot, 0.001)
-    numeric = finite_difference_grads(lambda p: stack_loss(p, X, onehot, 0.001), params)
+    analytic = stack_grads(params, X, onehot, 0.001, stack_loss(params, X, onehot, 0.001)[1])
+    numeric = finite_difference_grads(lambda p: stack_loss(p, X, onehot, 0.001)[0], params)
     assert _relative_errors(analytic, numeric) < 1e-4
 
 
@@ -47,8 +50,8 @@ def test_autoencoder_gradients_match_finite_differences():
     params = [
         rng.normal(scale=0.5, size=shape) for shape in [(4, 3), (3,), (3, 4), (4,)]
     ]
-    analytic = autoencoder_grads(params, X, 0.001)
-    numeric = finite_difference_grads(lambda p: autoencoder_loss(p, X, 0.001), params)
+    analytic = autoencoder_grads(params, X, 0.001, autoencoder_loss(params, X, 0.001)[1])
+    numeric = finite_difference_grads(lambda p: autoencoder_loss(p, X, 0.001)[0], params)
     assert _relative_errors(analytic, numeric) < 1e-4
 
 
@@ -96,13 +99,38 @@ def test_descend_rejecting_step_keeps_loss():
     params = [np.array([10.0])]
     out, history = descend(
         params,
-        lambda p: float(p[0][0] ** 2),
-        lambda p: [2.0 * p[0]],
+        lambda p: (float(p[0][0] ** 2), None),
+        lambda p, cache: [2.0 * p[0]],
         max_iterations=50,
         learning_rate=100.0,
     )
     assert history == sorted(history, reverse=True)
     assert float(out[0][0] ** 2) < 100.0
+
+
+def test_descend_runs_one_forward_pass_per_step():
+    # Each loss call hands its forward pass to the next gradient call; a
+    # rejected step reuses the gradients it already has.
+    calls = []
+
+    def loss_fn(p):
+        calls.append("loss")
+        x = float(p[0][0])
+        return x * x, x
+
+    def grad_fn(p, cache):
+        calls.append("grad")
+        assert cache == float(p[0][0])  # the cache of the accepted point
+        return [np.array([2.0 * cache])]
+
+    _, history = descend([np.array([10.0])], loss_fn, grad_fn, max_iterations=6,
+                         learning_rate=3.0)
+    assert calls.count("loss") == 6 + 1
+    # The first two steps overshoot (rate 3, then 1.5) and are rejected; at
+    # rate 0.75 every step lands on the other side of 0 and is accepted.
+    assert calls == ["loss", "grad", "loss", "loss", "loss", "grad", "loss", "grad", "loss",
+                     "grad", "loss"]
+    assert history == [100.0, 100.0, 100.0, 25.0, 6.25, 1.5625, 0.390625]
 
 
 def test_training_is_deterministic():
@@ -130,6 +158,29 @@ def test_memory_budget_error_advises_downsampling():
     with pytest.raises(ConfigError, match="downsample"):
         train_net(d, seed=0, memory_budget_mb=0.01)
     assert estimate_memory_mb(12, 50, 300, 30, 3) > 0.01
+
+
+@pytest.mark.parametrize("n_classes, per_class, width, hidden1, hidden2", [
+    (3, 6, 40, 16, 8),
+    (3, 8, 60, None, None),
+    (4, 10, 500, 20, 200),
+])
+def test_memory_estimate_bounds_the_training_peak(n_classes, per_class, width, hidden1, hidden2):
+    d = random_dataset(np.random.default_rng(52), n_classes, per_class, width)
+    tracemalloc.start()
+    try:
+        model = train_net(d, seed=0, hidden1=hidden1, hidden2=hidden2, max_iterations=4)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    estimate = estimate_memory_mb(len(d), width, model.hyperparams["hidden1"],
+                                  model.hyperparams["hidden2"], n_classes)
+    assert peak_mb <= estimate <= 2.0 * peak_mb
+
+
+def test_acceptance_net_fits_the_default_budget():
+    # 30 classes x 40 training traces of 3 x 1,000 downsampled samples.
+    assert estimate_memory_mb(1200, 3000, 3000, 300, 30) < DEFAULT_MEMORY_BUDGET_MB
 
 
 def test_prediction_is_pure():

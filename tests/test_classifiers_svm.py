@@ -6,7 +6,7 @@ from perfprint.classifiers.svm import dual_objective, solve_pair
 from perfprint.errors import DataError
 
 from helpers import build_dataset, random_dataset
-from oracles import svm_grid_dual_max
+from oracles import reference_solve_pair, svm_grid_dual_max
 
 
 def _separable_pair(seed, gap=4.0):
@@ -119,3 +119,36 @@ def test_solver_is_deterministic():
     assert np.array_equal(first[0], second[0])
     assert first[1] == second[1]
     assert np.array_equal(first[2], second[2])
+
+
+def _bits(result):
+    w, b, alpha, dual = result
+    return w.tobytes(), np.float64(b).tobytes(), alpha.tobytes(), np.float64(dual).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sweep_matches_the_reference_bit_for_bit(seed):
+    # Overlapping classes, so many coordinates sit at the box bounds and
+    # some problems stop at the pass cap instead of at tol.
+    rng = np.random.default_rng(700 + seed)
+    n, d = int(rng.integers(4, 40)), int(rng.integers(1, 12))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    X[y > 0] += rng.uniform(0.0, 1.0)
+    c = [0.05, 0.5, 1.0, 2, 10.0, 100.0][seed % 6]  # an int C too
+    max_passes = [1, 3, 1000][seed % 3]
+    tol = [1e-3, 1e-12][seed % 2]
+    assert _bits(solve_pair(X, y, c, tol=tol, max_passes=max_passes)) == _bits(
+        reference_solve_pair(X, y, c, tol, max_passes)
+    )
+
+
+def test_sweep_matches_the_reference_at_the_pass_cap():
+    rng = np.random.default_rng(720)
+    X = rng.normal(size=(30, 3))
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    for max_passes in (1, 2, 5, 50):
+        assert _bits(solve_pair(X, y, 10.0, tol=1e-15, max_passes=max_passes)) == _bits(
+            reference_solve_pair(X, y, 10.0, 1e-15, max_passes)
+        )

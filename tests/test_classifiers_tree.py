@@ -5,7 +5,7 @@ from perfprint.classifiers import train_tree
 from perfprint.classifiers.tree import DecisionTreeModel, best_split
 
 from helpers import build_dataset, random_dataset
-from oracles import all_split_gains, split_gain
+from oracles import all_split_gains, reference_best_split, split_gain
 
 
 def test_separable_1d_single_root_split():
@@ -133,3 +133,68 @@ def test_threshold_is_midpoint_of_consecutive_values():
     found = best_split(d.feature_matrix(), d.label_indices(), 2)
     assert found is not None
     assert found[2] == pytest.approx(6.0)  # (2 + 10) / 2
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_split_scan_matches_the_reference_bit_for_bit(seed):
+    # Small integer features tie often, within and across columns; copied
+    # columns tie exactly, also across the 128-column chunks; some classes
+    # may be absent from the node.
+    rng = np.random.default_rng(600 + seed)
+    n = int(rng.integers(2, 40))
+    n_features = int(rng.choice([1, 5, 40, 300]))
+    n_classes = int(rng.integers(2, 8))
+    if seed % 2:
+        X = rng.integers(0, 4, size=(n, n_features)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, n_features))
+    X[:, -1] = X[:, 0]
+    y = rng.integers(0, n_classes, size=n)
+    min_leaf = int(rng.integers(1, 4))
+    found = best_split(X, y, n_classes, min_leaf)
+    expected = reference_best_split(X, y, n_classes, min_leaf)
+    assert found == expected
+    if found is not None:
+        assert np.float64(found[0]).tobytes() == np.float64(expected[0]).tobytes()
+
+
+def test_split_scan_of_fewer_than_two_rows_finds_nothing():
+    for n in (0, 1):
+        X, y = np.zeros((n, 3)), np.zeros(n, dtype=np.int64)
+        assert best_split(X, y, 2) is None
+        assert reference_best_split(X, y, 2) is None
+
+
+def test_split_scan_picks_the_first_feature_among_equal_gains():
+    # Columns 0 and 2 separate the classes equally well; 1 and 3 do not.
+    X = np.array([[0.0, 5.0, 0.0, 1.0], [1.0, 5.0, 1.0, 1.0], [2.0, 5.0, 2.0, 1.0],
+                  [3.0, 5.0, 3.0, 1.0]])
+    y = np.array([0, 0, 1, 1])
+    found = best_split(X, y, 2)
+    assert found == reference_best_split(X, y, 2) == (1.0, 0, 1.5)
+    # Across chunks: the copy in column 200 loses the tie to column 3.
+    wide = np.zeros((4, 201))
+    wide[:, 3] = wide[:, 200] = X[:, 0]
+    assert best_split(wide, y, 2) == reference_best_split(wide, y, 2) == (1.0, 3, 1.5)
+
+
+def test_threshold_between_adjacent_doubles_routes_as_scored():
+    # The midpoint of 1+ulp and 1+2ulp rounds to 1+2ulp, which would send
+    # the upper value left as well; the threshold falls back to the lower.
+    lo = np.nextafter(1.0, 2.0)
+    hi = np.nextafter(lo, 2.0)
+    assert (lo + hi) / 2.0 == hi
+    d = build_dataset([[lo], [lo], [hi], [hi]], ["A", "A", "B", "B"])
+    gain, feature, threshold = best_split(d.feature_matrix(), d.label_indices(), 2)
+    assert (gain, feature, threshold) == (1.0, 0, lo)
+    model = train_tree(d, min_parent=2)
+    assert model.nodes[0]["threshold"] == lo
+    assert [model.predict(m.features) for m in d.measurements] == ["A", "A", "B", "B"]
+
+
+def test_threshold_falls_back_when_the_midpoint_overflows():
+    big = np.finfo(np.float64).max
+    d = build_dataset([[big / 2], [big / 2], [big], [big]], ["A", "A", "B", "B"])
+    model = train_tree(d, min_parent=2)
+    assert model.nodes[0]["threshold"] == big / 2
+    assert [model.predict(m.features) for m in d.measurements] == ["A", "A", "B", "B"]

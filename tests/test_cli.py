@@ -35,6 +35,14 @@ def test_synth_digest_is_reproducible(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_synth_with_four_samples_per_event(tmp_path, capsys):
+    out = tmp_path / "short.csv"
+    assert run("synth", "--classes", 2, "--per-class", 4, "--events", 2,
+               "--samples-per-event", 4, "--out", out) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert dataset.load(str(out)).feature_length == 8
+
+
 def test_synth_rejects_zero_measurements(tmp_path, capsys):
     assert run("synth", "--classes", 3, "--per-class", 0, "--out", tmp_path / "x.csv") == 2
     assert "n_per_class" in capsys.readouterr().err
@@ -287,3 +295,34 @@ def test_crossval_records_the_trainer_keywords(tmp_path, kind, flags, expected):
                "--out", out, *flags) == 0
     hyperparams = json.loads(out.read_text())["hyperparams"]
     assert list(hyperparams.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("kind", ["knn", "tree", "svm", "net"])
+def test_evaluate_on_narrower_data_exits_three(tmp_path, capsys, kind):
+    # Trained on 80 features, evaluated on the same traces downsampled to 40.
+    full, half, model = tmp_path / "full.csv", tmp_path / "half.csv", tmp_path / "m.json"
+    assert run("synth", "--classes", 3, "--per-class", 4, "--events", 2,
+               "--samples-per-event", 40, "--noise-sigma", 1.0, "--seed", 19,
+               "--out", full) == 0
+    assert run("prep", "--data", full, "--downsample", 2, "--out", half) == 0
+    assert run("train", "--data", full, "--kind", kind, "--out", model,
+               *(["--min-parent", 2] if kind == "tree" else [])) == 0
+    if kind == "tree":  # a tree is only rejected when it splits past the width
+        nodes = json.loads(model.read_text())["payload"]["nodes"]
+        assert max(n["feature"] for n in nodes if "feature" in n) >= 40
+    capsys.readouterr()
+    assert run("evaluate", "--data", half, "--model", model, "--out-dir", tmp_path / "r") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} model ") and "40" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_tree_on_data_holding_its_split_features(tmp_path):
+    full, half, model = tmp_path / "full.csv", tmp_path / "half.csv", tmp_path / "m.json"
+    assert run(*synth_args(full, classes=3, per_class=4, samples=40)) == 0
+    assert run("prep", "--data", full, "--downsample", 2, "--out", half) == 0
+    assert run("train", "--data", full, "--kind", "tree", "--min-parent", 2, "--out", model) == 0
+    nodes = json.loads(model.read_text())["payload"]["nodes"]
+    assert max(n["feature"] for n in nodes if "feature" in n) < 40
+    assert run("evaluate", "--data", half, "--model", model, "--out-dir", tmp_path / "r") == 0

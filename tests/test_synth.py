@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,19 @@ def test_invalid_parameters_rejected():
         gen_dataset(profiles, 0, NoiseModel(), seed=0)
     with pytest.raises(ConfigError):
         gen_dataset(profiles, 1, "loud", seed=0)  # type: ignore[arg-type]
+
+
+def test_short_waveforms_have_at_most_one_phase_per_sample():
+    for length in range(2, 7):
+        for profile in gen_profiles(6, 2, length, seed=12):
+            assert all(w.shape == (length,) for w in profile.waveforms)
+
+
+def test_profiles_that_fit_their_phases_keep_their_bytes():
+    # Frozen from the generator before phase counts were capped at the
+    # waveform length: lengths of 6 or more never needed the cap.
+    digest = hashlib.sha256()
+    for length in (6, 7, 8, 40):
+        for profile in gen_profiles(5, 3, length, seed=11):
+            digest.update(profile.concatenated.tobytes())
+    assert digest.hexdigest() == "7c5a8640c29a0afd56472fdc3eb7f37c0f2114a6d7adf7245de0fe69df8f5d9f"
