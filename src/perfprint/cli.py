@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import classifiers, collector, dataset, evaluation, events, mitigation, synth
@@ -79,28 +80,33 @@ _MODEL_FLAGS = {
 
 
 def _hyperparams(args) -> dict:
-    """The trainer keywords of the chosen kind; flags left unset are dropped."""
-    flags = _MODEL_FLAGS[args.kind]
-    values = {kw: getattr(args, flag[2:].replace("-", "_")) for flag, kw, *_ in flags}
+    """The trainer keywords of the chosen kind, defaults filled in; those
+    whose default is None are dropped unless given. A flag of another
+    kind is a ConfigError."""
+    values = {}
+    for kind, flags in _MODEL_FLAGS.items():
+        for flag, kw, _, default, _ in flags:
+            dest = flag[2:].replace("-", "_")
+            if kind == args.kind:
+                values[kw] = getattr(args, dest, default)
+            elif hasattr(args, dest):
+                raise ConfigError(f"{flag} is a --kind {kind} flag, not one for --kind {args.kind}")
     return {kw: value for kw, value in values.items() if value is not None}
 
 
 def _add_model_flags(parser):
+    # Flags left out stay off the namespace, so `_hyperparams` sees which
+    # were given.
     parser.add_argument("--kind", required=True, choices=classifiers.MODEL_KINDS)
     for flags in _MODEL_FLAGS.values():
-        for flag, _, type_, default, help_ in flags:
-            parser.add_argument(flag, type=type_, default=default, help=help_)
+        for flag, _, type_, _, help_ in flags:
+            parser.add_argument(flag, type=type_, default=argparse.SUPPRESS, help=help_)
 
 
 def cmd_collect(args) -> int:
     config, default_pattern, scenario_name = _load_scenario(args.scenario)
     if args.cpu is not None:
-        config = events.CollectorConfig(
-            events=config.events,
-            scope=events.ProfilingScope.core(args.cpu),
-            duration_s=config.duration_s,
-            read_interval_us=config.read_interval_us,
-        )
+        config = replace(config, scope=events.ProfilingScope.core(args.cpu))
     pattern = args.await_pattern or default_pattern
     if config.scope.is_process_specific and config.scope.pid < 0:
         if args.pid is not None:
@@ -113,11 +119,8 @@ def cmd_collect(args) -> int:
             raise ConfigError("process-specific scenario needs --pid or --await")
     raw = collector.collect(config)
     measurement = dataset.concatenate(raw, args.label)
-    meta = dict(measurement.meta)
-    meta["captured_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    measurement = dataset.Measurement(
-        label=measurement.label, features=measurement.features, meta=meta
-    )
+    captured_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    measurement = replace(measurement, meta={**measurement.meta, "captured_at": captured_at})
     dataset.append_measurement(
         args.out,
         measurement,
@@ -190,22 +193,15 @@ def cmd_evaluate(args) -> int:
     model = classifiers.load_model(args.model)
     test = dataset.load(args.data)
     report = evaluation.evaluate(model, test, g_max=args.topk)
-    meta = dict(report.meta)
-    meta.update(
-        {
+    report = replace(
+        report,
+        meta={
+            **report.meta,
             "model_file": args.model,
             "model_sha256": _sha256(args.model),
             "test_data": args.data,
             "test_data_sha256": _sha256(args.data),
-        }
-    )
-    report = evaluation.EvalReport(
-        success_rate=report.success_rate,
-        per_class=report.per_class,
-        topk_curve=report.topk_curve,
-        confusion=report.confusion,
-        classes=report.classes,
-        meta=meta,
+        },
     )
     os.makedirs(args.out_dir, exist_ok=True)
     evaluation.write_report_json(report, os.path.join(args.out_dir, "report.json"))

@@ -5,7 +5,8 @@ during one workload run. Datasets are immutable after construction: every
 operation returns a new value.
 
 File format: one self-describing JSON header line, then one CSV row per
-measurement (`label,feature_0,...`), floats at 9 significant digits.
+measurement (`label,feature_0,...`), floats at 9 significant digits. Every
+feature is finite: `nan` and infinities are refused on write and on load.
 
 Every dataset write is atomic: the file is written beside its target and
 renamed over it, so a failed write leaves the old file as it was. Appending
@@ -116,6 +117,19 @@ class Dataset:
             meta=dict(self.meta),
         )
 
+    def with_features(self, x: np.ndarray, normalization=None, meta=None) -> "Dataset":
+        """The same rows over a new (n, d) feature matrix, row i taking
+        `x[i]`. Labels and row meta are copied; so is the dataset meta
+        unless `meta` replaces it."""
+        return Dataset(
+            measurements=tuple(
+                Measurement(label=m.label, features=row, meta=dict(m.meta))
+                for m, row in zip(self.measurements, x)
+            ),
+            normalization=normalization,
+            meta=dict(self.meta) if meta is None else meta,
+        )
+
 
 def concatenate(raw: RawTraceSet, label: str) -> Measurement:
     """Turn a raw trace set into one labeled measurement.
@@ -164,15 +178,10 @@ def normalize_apply(params: NormParams, d: Dataset) -> Dataset:
         )
     span = params.feature_max - params.feature_min
     safe = np.where(span > 0, span, 1.0)
-    scaled = [
-        Measurement(
-            label=m.label,
-            features=np.where(span > 0, (m.features - params.feature_min) / safe, 0.0),
-            meta=dict(m.meta),
-        )
-        for m in d.measurements
-    ]
-    return Dataset(measurements=tuple(scaled), normalization=params, meta=dict(d.meta))
+    x = d.feature_matrix().reshape(len(d), len(span))  # an empty set's matrix is (0, 0)
+    return d.with_features(
+        np.where(span > 0, (x - params.feature_min) / safe, 0.0), normalization=params
+    )
 
 
 def downsample(d: Dataset, factor: int) -> Dataset:
@@ -188,13 +197,25 @@ def downsample(d: Dataset, factor: int) -> Dataset:
     length = d.feature_length
     starts = np.arange(0, length, factor)
     sizes = np.minimum(starts + factor, length) - starts
-    out = []
-    for m in d.measurements:
-        sums = np.add.reduceat(m.features, starts)
-        out.append(Measurement(label=m.label, features=sums / sizes, meta=dict(m.meta)))
     meta = dict(d.meta)
     meta["downsample_factor"] = meta.get("downsample_factor", 1) * factor
-    return Dataset(measurements=tuple(out), normalization=None, meta=meta)
+    return d.with_features(np.add.reduceat(d.feature_matrix(), starts, axis=1) / sizes, meta=meta)
+
+
+def shuffle_by_class(d: Dataset, seed: int, needed: int, shortfall: str) -> list[list[int]]:
+    """Each class's row indices in a seeded random order, classes sorted.
+
+    One permutation is drawn per class, in class order, from one generator
+    seeded with `seed`. A class with fewer than `needed` rows raises a
+    DataError: "class 'x' has n measurements, " followed by `shortfall`.
+    """
+    rng = np.random.default_rng(seed)
+    order = []
+    for label, indices in d.by_class().items():
+        if len(indices) < needed:
+            raise DataError(f"class {label!r} has {len(indices)} measurements, {shortfall}")
+        order.append([indices[p] for p in rng.permutation(len(indices))])
+    return order
 
 
 def split(
@@ -203,40 +224,24 @@ def split(
     """Disjoint per-class train/test sampling, deterministic under seed."""
     if n_train_per_class < 1 or n_test_per_class < 1:
         raise ConfigError("split sizes must be >= 1")
-    rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label, indices in d.by_class().items():
-        needed = n_train_per_class + n_test_per_class
-        if len(indices) < needed:
-            raise DataError(
-                f"class {label!r} has {len(indices)} measurements, "
-                f"needs {needed} for a {n_train_per_class}/{n_test_per_class} split"
-            )
-        perm = rng.permutation(len(indices))
-        chosen = [indices[p] for p in perm]
-        train_idx.extend(chosen[:n_train_per_class])
-        test_idx.extend(chosen[n_train_per_class:needed])
-    return d.subset(sorted(train_idx)), d.subset(sorted(test_idx))
+    needed = n_train_per_class + n_test_per_class
+    order = shuffle_by_class(
+        d, seed, needed, f"needs {needed} for a {n_train_per_class}/{n_test_per_class} split"
+    )
+    train = sorted(i for rows in order for i in rows[:n_train_per_class])
+    test = sorted(i for rows in order for i in rows[n_train_per_class:needed])
+    return d.subset(train), d.subset(test)
 
 
 def kfold(d: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
-    """Stratified k folds: each measurement validates in exactly one fold."""
+    """Stratified k folds: each measurement validates in exactly one fold.
+    A class's j-th row in shuffled order validates in fold j mod k."""
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
-    rng = np.random.default_rng(seed)
-    fold_members: list[list[int]] = [[] for _ in range(k)]
-    for label, indices in d.by_class().items():
-        if len(indices) < k:
-            raise DataError(
-                f"class {label!r} has {len(indices)} measurements, fewer than k={k}"
-            )
-        perm = rng.permutation(len(indices))
-        for j, p in enumerate(perm):
-            fold_members[j % k].append(indices[p])
+    order = shuffle_by_class(d, seed, k, f"fewer than k={k}")
     folds = []
     for i in range(k):
-        validation = set(fold_members[i])
+        validation = {j for rows in order for j in rows[i::k]}
         train = [j for j in range(len(d)) if j not in validation]
         folds.append((d.subset(train), d.subset(sorted(validation))))
     return folds
@@ -273,10 +278,13 @@ def _header_line(d: Dataset) -> str:
     return json.dumps(header, separators=(",", ":")) + "\n"
 
 
-def _check_label(label: str):
+def _check_row(m: Measurement):
+    """Refuse a row that `load` would not read back as written."""
     # A row must stay one line under str.splitlines, which `load` splits by.
-    if "," in label or label.splitlines() not in ([label], []):
-        raise DataError(f"label {label!r} contains a reserved character")
+    if "," in m.label or m.label.splitlines() not in ([m.label], []):
+        raise DataError(f"label {m.label!r} contains a reserved character")
+    if not np.isfinite(m.features).all():
+        raise DataError(f"measurement labeled {m.label!r} has a non-finite feature")
 
 
 def _write_atomic(path: str, lines):
@@ -285,11 +293,11 @@ def _write_atomic(path: str, lines):
     On any error the temp file is removed and `path` keeps its old bytes.
     The data is synced before the rename, so a crash leaves either the old
     file or the complete new one. An existing file's permission bits carry
-    over to the replacement.
+    over to the replacement. Line ends are written as given, untranslated.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", newline="") as fh:
             fh.writelines(lines)
             fh.flush()
             os.fsync(fh.fileno())
@@ -311,7 +319,7 @@ def write_json(path: str, doc):
 
 def save(d: Dataset, path: str):
     for m in d.measurements:
-        _check_label(m.label)
+        _check_row(m)
     _write_atomic(path, itertools.chain([_header_line(d)], map(_format_row, d.measurements)))
 
 
@@ -364,6 +372,8 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
             features = np.array(fields[1:], dtype=np.float64)
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: non-numeric feature: {exc}") from exc
+        if not np.isfinite(features).all():
+            raise DataError(f"{path}: line {lineno} (label {label!r}): non-finite feature")
         meta = {}
         if row_meta is not None:
             if len(measurements) >= len(row_meta):
@@ -405,7 +415,7 @@ def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = No
     formatted; the existing row lines are copied verbatim. Feature length
     must match what the file already holds.
     """
-    _check_label(m.label)
+    _check_row(m)
     rows: list[str] = []
     if os.path.exists(path):
         d, rows = _parse(path)

@@ -10,11 +10,12 @@ weighted by test counts average back to the success rate.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, kfold, write_json
+from .dataset import Dataset, _write_atomic, kfold, shuffle_by_class, write_json
 from .errors import ConfigError, DataError
 
 
@@ -102,27 +103,14 @@ def learning_curve(
     """
     if not train_sizes or min(train_sizes) < 1:
         raise ConfigError("train sizes must be positive")
-    rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
-    pools: dict[str, list[int]] = {}
-    for label, indices in d.by_class().items():
-        if len(indices) < n_test_per_class + max(train_sizes):
-            raise DataError(
-                f"class {label!r} has {len(indices)} measurements, needs "
-                f"{n_test_per_class + max(train_sizes)} for this curve"
-            )
-        perm = rng.permutation(len(indices))
-        shuffled = [indices[p] for p in perm]
-        test_idx.extend(shuffled[:n_test_per_class])
-        pools[label] = shuffled[n_test_per_class:]
-    test = d.subset(sorted(test_idx))
+    needed = n_test_per_class + max(train_sizes)
+    order = shuffle_by_class(d, seed, needed, f"needs {needed} for this curve")
+    test = d.subset(sorted(i for rows in order for i in rows[:n_test_per_class]))
 
     curve: dict[int, float] = {}
     for size in sorted(train_sizes):
-        train_idx: list[int] = []
-        for label in pools:
-            train_idx.extend(pools[label][:size])
-        model = trainer(d.subset(sorted(train_idx)))
+        train = sorted(i for rows in order for i in rows[n_test_per_class:n_test_per_class + size])
+        model = trainer(d.subset(train))
         curve[size] = evaluate(model, test).success_rate
     return curve
 
@@ -161,25 +149,23 @@ def write_report_json(report: EvalReport, path: str):
     write_json(path, report_to_dict(report))
 
 
+def _write_csv(path: str, rows):
+    """Write CSV rows atomically, with csv's own `\r\n` line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write_atomic(path, [buf.getvalue()])
+
+
 def write_per_class_csv(report: EvalReport, path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "success_rate"])
-        for c in report.classes:
-            writer.writerow([c, format(report.per_class[c], ".9g")])
+    rows = [[c, format(report.per_class[c], ".9g")] for c in report.classes]
+    _write_csv(path, [["label", "success_rate"], *rows])
 
 
 def write_topk_csv(report: EvalReport, path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["guesses", "success_rate"])
-        for g, rate in enumerate(report.topk_curve, start=1):
-            writer.writerow([g, format(rate, ".9g")])
+    rows = [[g, format(rate, ".9g")] for g, rate in enumerate(report.topk_curve, start=1)]
+    _write_csv(path, [["guesses", "success_rate"], *rows])
 
 
 def write_curve_csv(curve: dict[int, float], path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["train_size", "success_rate"])
-        for size in sorted(curve):
-            writer.writerow([size, format(curve[size], ".9g")])
+    rows = [[size, format(curve[size], ".9g")] for size in sorted(curve)]
+    _write_csv(path, [["train_size", "success_rate"], *rows])

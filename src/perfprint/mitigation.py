@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, Measurement, downsample, split
+from .dataset import Dataset, downsample, split
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate
 
@@ -65,25 +65,18 @@ def apply(policy: MitigationPolicy, d: Dataset, rms_reference: Dataset | None = 
     if policy.kind is PolicyKind.SAMPLING_DEGRADATION:
         return downsample(d, policy.factor)
     if policy.kind is PolicyKind.ACCESS_DENIED:
-        empty = np.zeros(0)
-        return Dataset(
-            measurements=tuple(
-                Measurement(label=m.label, features=empty, meta=dict(m.meta))
-                for m in d.measurements
-            ),
-            meta=dict(d.meta),
-        )
-    # Noise injection.
+        return d.with_features(np.zeros((len(d), 0)))
+    # Noise injection: one draw in row order, scaled, shifted and clipped in
+    # place, so no second (n, d) temporary is held beside it.
     if policy.sigma == 0:
         return d
     reference = rms_reference if rms_reference is not None else d
     scale = policy.sigma * np.sqrt((reference.feature_matrix() ** 2).mean(axis=0))
-    rng = np.random.default_rng(policy.seed)
-    noisy = []
-    for m in d.measurements:
-        sample = m.features + rng.normal(0.0, 1.0, size=len(m.features)) * scale
-        noisy.append(Measurement(label=m.label, features=np.clip(sample, 0.0, None), meta=dict(m.meta)))
-    return Dataset(measurements=tuple(noisy), meta=dict(d.meta))
+    noisy = np.random.default_rng(policy.seed).normal(0.0, 1.0, size=(len(d), d.feature_length))
+    noisy *= scale
+    for row, m in zip(noisy, d.measurements):
+        row += m.features
+    return d.with_features(np.clip(noisy, 0.0, None, out=noisy))
 
 
 @dataclass(frozen=True)

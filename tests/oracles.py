@@ -197,3 +197,133 @@ def reference_solve_pair(X, y, c, tol, max_passes):
     w_aug = xa.T @ (alpha * y)
     dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
     return w_aug[:-1], float(w_aug[-1]), alpha, dual
+
+
+# -- reference copies of the per-row dataset transforms -----------------------
+# Each rebuilds the dataset one Measurement at a time, as the package did
+# before its transforms became whole-matrix expressions. Features, labels and
+# row meta must come out the same bit for bit.
+
+
+def reference_normalize_apply(params, d):
+    from perfprint.dataset import Dataset, Measurement
+
+    span = params.feature_max - params.feature_min
+    safe = np.where(span > 0, span, 1.0)
+    scaled = [
+        Measurement(
+            label=m.label,
+            features=np.where(span > 0, (m.features - params.feature_min) / safe, 0.0),
+            meta=dict(m.meta),
+        )
+        for m in d.measurements
+    ]
+    return Dataset(measurements=tuple(scaled), normalization=params, meta=dict(d.meta))
+
+
+def reference_downsample(d, factor):
+    from perfprint.dataset import Dataset, Measurement
+
+    if factor == 1 or not len(d):
+        return d
+    length = d.feature_length
+    starts = np.arange(0, length, factor)
+    sizes = np.minimum(starts + factor, length) - starts
+    out = []
+    for m in d.measurements:
+        sums = np.add.reduceat(m.features, starts)
+        out.append(Measurement(label=m.label, features=sums / sizes, meta=dict(m.meta)))
+    meta = dict(d.meta)
+    meta["downsample_factor"] = meta.get("downsample_factor", 1) * factor
+    return Dataset(measurements=tuple(out), normalization=None, meta=meta)
+
+
+def reference_deny(d):
+    from perfprint.dataset import Dataset, Measurement
+
+    empty = np.zeros(0)
+    return Dataset(
+        measurements=tuple(
+            Measurement(label=m.label, features=empty, meta=dict(m.meta))
+            for m in d.measurements
+        ),
+        meta=dict(d.meta),
+    )
+
+
+def reference_noise(d, sigma, seed, rms_reference=None):
+    """Noise injection with one normal draw per row, in row order."""
+    from perfprint.dataset import Dataset, Measurement
+
+    if sigma == 0:
+        return d
+    reference = rms_reference if rms_reference is not None else d
+    scale = sigma * np.sqrt((reference.feature_matrix() ** 2).mean(axis=0))
+    rng = np.random.default_rng(seed)
+    noisy = []
+    for m in d.measurements:
+        sample = m.features + rng.normal(0.0, 1.0, size=len(m.features)) * scale
+        noisy.append(Measurement(label=m.label, features=np.clip(sample, 0.0, None), meta=dict(m.meta)))
+    return Dataset(measurements=tuple(noisy), meta=dict(d.meta))
+
+
+def _rows_by_class(labels):
+    out = {}
+    for i, label in enumerate(labels):
+        out.setdefault(label, []).append(i)
+    return {label: out[label] for label in sorted(out)}
+
+
+def reference_split_indices(labels, n_train, n_test, seed):
+    """(train, test) row indices of a per-class split, or the DataError text."""
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for label, indices in _rows_by_class(labels).items():
+        needed = n_train + n_test
+        if len(indices) < needed:
+            return (f"class {label!r} has {len(indices)} measurements, "
+                    f"needs {needed} for a {n_train}/{n_test} split")
+        perm = rng.permutation(len(indices))
+        chosen = [indices[p] for p in perm]
+        train_idx.extend(chosen[:n_train])
+        test_idx.extend(chosen[n_train:needed])
+    return sorted(train_idx), sorted(test_idx)
+
+
+def reference_kfold_indices(labels, k, seed):
+    """[(train, validation)] row indices of stratified folds, or the
+    DataError text."""
+    rng = np.random.default_rng(seed)
+    fold_members = [[] for _ in range(k)]
+    for label, indices in _rows_by_class(labels).items():
+        if len(indices) < k:
+            return f"class {label!r} has {len(indices)} measurements, fewer than k={k}"
+        perm = rng.permutation(len(indices))
+        for j, p in enumerate(perm):
+            fold_members[j % k].append(indices[p])
+    folds = []
+    for i in range(k):
+        validation = set(fold_members[i])
+        train = [j for j in range(len(labels)) if j not in validation]
+        folds.append((train, sorted(validation)))
+    return folds
+
+
+def reference_curve_indices(labels, train_sizes, n_test, seed):
+    """(test, {size: train}) row indices of a learning curve, or the
+    DataError text."""
+    rng = np.random.default_rng(seed)
+    test_idx = []
+    pools = {}
+    for label, indices in _rows_by_class(labels).items():
+        if len(indices) < n_test + max(train_sizes):
+            return (f"class {label!r} has {len(indices)} measurements, needs "
+                    f"{n_test + max(train_sizes)} for this curve")
+        perm = rng.permutation(len(indices))
+        shuffled = [indices[p] for p in perm]
+        test_idx.extend(shuffled[:n_test])
+        pools[label] = shuffled[n_test:]
+    train = {}
+    for size in sorted(train_sizes):
+        train[size] = sorted(i for label in pools for i in pools[label][:size])
+    return sorted(test_idx), train

@@ -101,6 +101,18 @@ def test_prep_on_malformed_header_exits_three(tmp_path, capsys, header):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_prep_on_non_finite_features_exits_three(tmp_path, capsys, value):
+    data = tmp_path / "bad.csv"
+    data.write_text('{"format":"perfprint-dataset","version":1,"feature_length":2}\n'
+                    f"a,1.0,2.0\na,{value},2.0\n")
+    assert run("prep", "--data", data, "--out", tmp_path / "out.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: line 3 ") and "non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_prep_split_normalize_downsample(tmp_path):
     full = tmp_path / "full.csv"
     assert run(*synth_args(full)) == 0
@@ -247,7 +259,7 @@ def _short_leaf_counts(doc):
     (_short_leaf_counts, "tree"),
 ], ids=["no-classes", "list-payload", "child-out-of-range", "root-loops", "short-leaf-counts"])
 def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
-    model, test = _train_cli_model(tmp_path, kind, "--min-parent", 2)
+    model, test = _train_cli_model(tmp_path, kind, *(["--min-parent", 2] if kind == "tree" else []))
     doc = json.loads(model.read_text())
     corrupt(doc)
     model.write_text(json.dumps(doc))
@@ -326,3 +338,22 @@ def test_evaluate_tree_on_data_holding_its_split_features(tmp_path):
     nodes = json.loads(model.read_text())["payload"]["nodes"]
     assert max(n["feature"] for n in nodes if "feature" in n) < 40
     assert run("evaluate", "--data", half, "--model", model, "--out-dir", tmp_path / "r") == 0
+
+
+# For each command that trains: a flag of another kind, and the kind it
+# belongs to.
+@pytest.mark.parametrize("command, flag, owner", [
+    (["train", "--kind", "knn"], ["--min-parent", 2], "tree"),
+    (["crossval", "--kind", "knn", "--folds", 2], ["--C", 0.5], "svm"),
+    (["curve", "--kind", "tree", "--sizes", "2", "--n-test", 1], ["--k", 1], "knn"),
+    (["mitigate", "--kind", "svm", "--policy", "deny", "--n-train", 2, "--n-test", 1],
+     ["--hidden1", 8], "net"),
+], ids=["train", "crossval", "curve", "mitigate"])
+def test_a_flag_of_another_kind_exits_two(tmp_path, capsys, command, flag, owner):
+    full, out = tmp_path / "full.csv", tmp_path / "out"
+    assert run(*synth_args(full, classes=2, per_class=4, samples=8)) == 0
+    capsys.readouterr()
+    assert run(*command, "--data", full, "--out", out, *flag) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag[0]} is a --kind {owner} flag, not one for --kind {command[2]}\n"
+    assert not out.exists()

@@ -412,3 +412,21 @@ def test_classes_are_sorted_unique():
     d = build_dataset([[1.0], [2.0], [3.0]], ["beta", "alpha", "beta"])
     assert d.classes == ["alpha", "beta"]
     assert d.n_classes == 2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_refused(tmp_path, value):
+    path = tmp_path / "d.csv"
+    dataset.save(build_dataset([[1.0, 2.0]], ["a"]), str(path))
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="non-finite"):
+        dataset.save(build_dataset([[1.0, 2.0], [value, 2.0]], ["a", "b"]), str(path))
+    with pytest.raises(DataError, match="non-finite"):
+        dataset.append_measurement(str(path), Measurement(label="b", features=[1.0, value]))
+    assert path.read_bytes() == before
+
+    path.write_text(before.decode() + f"b,{value!r},2.0\n")
+    with pytest.raises(DataError, match=f"^{path}: line 3 \\(label 'b'\\): non-finite"):
+        dataset.load(str(path))
+    with pytest.raises(DataError, match=f"^{path}: line 3 "):
+        dataset.append_measurement(str(path), Measurement(label="c", features=[1.0, 2.0]))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,37 @@ def test_report_file_writers(tmp_path):
     lines = topk.read_text().strip().splitlines()
     assert lines[0] == "guesses,success_rate"
     assert len(lines) == 1 + 3
+
+
+def test_csv_reports_keep_csv_line_ends(tmp_path):
+    d = _indexed_dataset(2, 2)
+    report = evaluate(OracleModel(d.classes), d)
+    evaluation.write_per_class_csv(report, str(tmp_path / "per_class.csv"))
+    evaluation.write_topk_csv(report, str(tmp_path / "topk.csv"))
+    evaluation.write_curve_csv({20: 0.5, 10: 0.25}, str(tmp_path / "curve.csv"))
+    assert (tmp_path / "per_class.csv").read_bytes() == b"label,success_rate\r\nclass-00,1\r\nclass-01,1\r\n"
+    assert (tmp_path / "topk.csv").read_bytes() == b"guesses,success_rate\r\n1,1\r\n2,1\r\n"
+    assert (tmp_path / "curve.csv").read_bytes() == b"train_size,success_rate\r\n10,0.25\r\n20,0.5\r\n"
+
+
+def test_failed_csv_report_write_leaves_the_old_file(tmp_path, monkeypatch):
+    d = _indexed_dataset(2, 2)
+    report = evaluate(OracleModel(d.classes), d)
+    writes = [
+        lambda path: evaluation.write_per_class_csv(report, path),
+        lambda path: evaluation.write_topk_csv(report, path),
+        lambda path: evaluation.write_curve_csv({10: 0.5}, path),
+    ]
+    for i, write in enumerate(writes):
+        path = tmp_path / f"{i}.csv"
+        path.write_bytes(b"old\n")
+
+        def disk_full(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            write(str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.csv", "1.csv", "2.csv"]
