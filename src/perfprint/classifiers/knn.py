@@ -17,7 +17,11 @@ class KnnModel(Model):
         super().__init__(
             classes, seed=seed, hyperparams={"k": int(k)}, train_seconds=train_seconds
         )
-        self.train_x = np.asarray(train_x, dtype=np.float64)
+        # A read-only view, so the squared norms cached from it cannot go
+        # stale; the norms are derived state and never saved.
+        self.train_x = np.asarray(train_x, dtype=np.float64).view()
+        self.train_x.flags.writeable = False
+        self._train_sq = (self.train_x * self.train_x).sum(axis=1)
         self.train_y = np.asarray(train_y, dtype=np.int64)
         self.k = int(k)
 
@@ -42,7 +46,7 @@ class KnnModel(Model):
         # ||a-b||^2 = |a|^2 + |b|^2 - 2ab, clipped against tiny negatives.
         sq = (
             (X * X).sum(axis=1)[:, None]
-            + (self.train_x * self.train_x).sum(axis=1)[None, :]
+            + self._train_sq[None, :]
             - 2.0 * (X @ self.train_x.T)
         )
         return np.sqrt(np.clip(sq, 0.0, None))
@@ -64,9 +68,9 @@ class KnnModel(Model):
             d = dists[q]
             order = np.lexsort((rows, self.train_y, d))
             nearest = order[: self.k]
-            votes = np.bincount(self.train_y[nearest], minlength=self.n_classes)
-            dist_sum = np.zeros(self.n_classes)
-            np.add.at(dist_sum, self.train_y[nearest], d[nearest])
+            nearest_y = self.train_y[nearest]
+            votes = np.bincount(nearest_y, minlength=self.n_classes)
+            dist_sum = np.bincount(nearest_y, weights=d[nearest], minlength=self.n_classes)
             class_min = np.full(self.n_classes, np.inf)
             np.minimum.at(class_min, self.train_y, d)
 

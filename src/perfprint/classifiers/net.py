@@ -125,8 +125,13 @@ def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
     would raise the loss is rejected and the rate halved, keeping the
     gradients already computed, so the returned history is non-increasing.
     Stops early once the rate underflows.
+
+    The stage takes ownership of the arrays in the list `params`: it empties
+    the list and never writes to them, so the initial weights are freed once
+    the first step is accepted.
     """
-    params = [p.copy() for p in params]
+    given, params = params, list(params)
+    given.clear()
     lr = learning_rate
     loss, cache = loss_fn(params)
     history = [loss]
@@ -190,15 +195,16 @@ class AutoencoderNetModel(Model):
 def estimate_memory_mb(n_samples, n_features, hidden1, hidden2, n_classes) -> float:
     """An upper bound, in MB, on the float64 arrays training holds at once.
 
-    Held for the whole run: the initial weights of every stage and the
-    weights of the finished autoencoder stages. A stage in `descend` holds
+    Held for the whole run: the weights of the finished autoencoder stages,
+    and, while the first stage runs, the initial weights of the later ones
+    (each stage frees its own initial weights). A stage in `descend` holds
     its current weights, their gradients and a trial step, plus the
     temporary of the update being formed: 3.5 times its weights, counted for
     the largest stage. Activations: the input, the reconstruction error and
     its derivative at input width, and a few layers of hidden activations.
     """
     n, d, h1, h2, c = n_samples, n_features, hidden1, hidden2, n_classes
-    initial = 2 * d * h1 + 2 * h1 * h2 + h2 * c
+    initial = 2 * h1 * h2 + h2 * c
     stages = (
         2 * d * h1 + h1 + d,  # first autoencoder
         2 * h1 * h2 + h2 + h1,  # second autoencoder
@@ -253,15 +259,14 @@ def train_net(
     softmax_iterations = max_iterations if softmax_iterations is None else softmax_iterations
     finetune_iterations = max_iterations if finetune_iterations is None else finetune_iterations
 
+    # No other name holds a stage's initial weights, so `descend` can free them.
     rng = np.random.default_rng(seed)
-    we1 = glorot_uniform(rng, d, h1)
-    wd1 = glorot_uniform(rng, h1, d)
-    we2 = glorot_uniform(rng, h1, h2)
-    wd2 = glorot_uniform(rng, h2, h1)
-    ws = glorot_uniform(rng, h2, n_classes)
+    ae1_init = [glorot_uniform(rng, d, h1), np.zeros(h1), glorot_uniform(rng, h1, d), np.zeros(d)]
+    ae2_init = [glorot_uniform(rng, h1, h2), np.zeros(h2), glorot_uniform(rng, h2, h1), np.zeros(h1)]
+    sm_init = [glorot_uniform(rng, h2, n_classes), np.zeros(n_classes)]
 
     ae1, hist1 = descend(
-        [we1, np.zeros(h1), wd1, np.zeros(d)],
+        ae1_init,
         lambda p: autoencoder_loss(p, X, l2_weight),
         lambda p, cache: autoencoder_grads(p, X, l2_weight, cache),
         max_iterations,
@@ -270,7 +275,7 @@ def train_net(
     h1_act = sigmoid(X @ ae1[0] + ae1[1])
 
     ae2, hist2 = descend(
-        [we2, np.zeros(h2), wd2, np.zeros(h1)],
+        ae2_init,
         lambda p: autoencoder_loss(p, h1_act, l2_weight),
         lambda p, cache: autoencoder_grads(p, h1_act, l2_weight, cache),
         max_iterations,
@@ -281,7 +286,7 @@ def train_net(
     y_onehot = np.zeros((n, n_classes))
     y_onehot[np.arange(n), y] = 1.0
     sm, hist3 = descend(
-        [ws, np.zeros(n_classes)],
+        sm_init,
         lambda p: softmax_loss(p, h2_act, y_onehot, l2_weight),
         lambda p, cache: softmax_grads(p, h2_act, y_onehot, l2_weight, cache),
         softmax_iterations,

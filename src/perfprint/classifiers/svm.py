@@ -89,6 +89,7 @@ class LinearSvmModel(Model):
             classes, seed=seed, hyperparams=hyperparams, train_seconds=train_seconds
         )
         self.pairs = [tuple(p) for p in pairs]  # (lower idx, higher idx) per model
+        self._lower, self._higher = np.array(self.pairs, dtype=np.int64).reshape(-1, 2).T
         self.weights = np.asarray(weights, dtype=np.float64)  # (n_pairs, d)
         self.biases = np.asarray(biases, dtype=np.float64)
 
@@ -115,17 +116,17 @@ class LinearSvmModel(Model):
         )
 
     def _vote_scores(self, X: np.ndarray):
+        """(votes, magnitude), each (n, N): the pair classifiers won by each
+        class, and the summed |decision value| of those wins."""
         decisions = X @ self.weights.T + self.biases  # (n, n_pairs)
-        votes = np.zeros((X.shape[0], self.n_classes))
-        magnitude = np.zeros((X.shape[0], self.n_classes))
-        for p, (ci, cj) in enumerate(self.pairs):
-            dec = decisions[:, p]
-            wins_i = dec >= 0  # ties fall to the lower class index
-            votes[wins_i, ci] += 1
-            votes[~wins_i, cj] += 1
-            magnitude[wins_i, ci] += np.abs(dec[wins_i])
-            magnitude[~wins_i, cj] += np.abs(dec[~wins_i])
-        return votes, magnitude
+        n, n_classes = X.shape[0], self.n_classes
+        winners = np.where(decisions >= 0, self._lower, self._higher)  # ties to the lower index
+        bins = (np.arange(n)[:, None] * n_classes + winners).ravel()
+        # bincount adds in input order, so each class's magnitude is summed
+        # in pair order from 0.0.
+        votes = np.bincount(bins, minlength=n * n_classes).astype(np.float64)
+        magnitude = np.bincount(bins, weights=np.abs(decisions).ravel(), minlength=n * n_classes)
+        return votes.reshape(n, n_classes), magnitude.reshape(n, n_classes)
 
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
         """Rank by vote count, then by summed |decision value| of the votes

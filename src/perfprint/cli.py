@@ -234,8 +234,11 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise ConfigError(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
     d = dataset.load(args.data)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     trainer = classifiers.make_trainer(args.kind, **_hyperparams(args))
     curve = evaluation.learning_curve(trainer, d, sizes, args.n_test, args.seed)
     evaluation.write_curve_csv(curve, args.out)

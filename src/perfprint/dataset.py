@@ -165,7 +165,7 @@ def normalize_fit(train: Dataset) -> Dataset:
         raise DataError("cannot fit normalization on an empty dataset")
     x = train.feature_matrix()
     params = NormParams(feature_min=x.min(axis=0), feature_max=x.max(axis=0))
-    return normalize_apply(params, train)
+    return _normalized(params, train, x)
 
 
 def normalize_apply(params: NormParams, d: Dataset) -> Dataset:
@@ -176,9 +176,14 @@ def normalize_apply(params: NormParams, d: Dataset) -> Dataset:
             f"normalization fitted on {params.feature_min.shape[0]} features, "
             f"dataset has {d.feature_length}"
         )
+    x = d.feature_matrix().reshape(len(d), len(params.feature_min))  # an empty set's matrix is (0, 0)
+    return _normalized(params, d, x)
+
+
+def _normalized(params: NormParams, d: Dataset, x: np.ndarray) -> Dataset:
+    """`d` over its feature matrix `x` scaled by `params`."""
     span = params.feature_max - params.feature_min
     safe = np.where(span > 0, span, 1.0)
-    x = d.feature_matrix().reshape(len(d), len(span))  # an empty set's matrix is (0, 0)
     return d.with_features(
         np.where(span > 0, (x - params.feature_min) / safe, 0.0), normalization=params
     )

@@ -327,3 +327,58 @@ def reference_curve_indices(labels, train_sizes, n_test, seed):
     for size in sorted(train_sizes):
         train[size] = sorted(i for label in pools for i in pools[label][:size])
     return sorted(test_idx), train
+
+
+# -- reference copies of the single-trace ranking paths -----------------------
+# The rankers' fast paths must reproduce these bit for bit: kNN as it was
+# before its training-row norms were cached, SVM votes as they were tallied
+# before one bincount replaced the per-pair scatters.
+
+
+def reference_knn_distances(train_x, X):
+    """Euclidean distances, recomputing the training-row norms per call."""
+    sq = (
+        (X * X).sum(axis=1)[:, None]
+        + (train_x * train_x).sum(axis=1)[None, :]
+        - 2.0 * (X @ train_x.T)
+    )
+    return np.sqrt(np.clip(sq, 0.0, None))
+
+
+def reference_knn_rankings(train_x, train_y, n_classes, k, X):
+    """(n, N) kNN rankings of the rows of X, one lexsort per query."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    dists = reference_knn_distances(train_x, X)
+    rows = np.arange(train_x.shape[0])
+    out = np.empty((X.shape[0], n_classes), dtype=np.int64)
+    for q in range(X.shape[0]):
+        d = dists[q]
+        order = np.lexsort((rows, train_y, d))
+        nearest = order[:k]
+        votes = np.bincount(train_y[nearest], minlength=n_classes)
+        dist_sum = np.zeros(n_classes)
+        np.add.at(dist_sum, train_y[nearest], d[nearest])
+        class_min = np.full(n_classes, np.inf)
+        np.minimum.at(class_min, train_y, d)
+        voted = np.flatnonzero(votes > 0)
+        mean_dist = dist_sum[voted] / votes[voted]
+        voted_order = voted[np.lexsort((voted, mean_dist, -votes[voted]))]
+        unvoted = np.flatnonzero(votes == 0)
+        unvoted_order = unvoted[np.lexsort((unvoted, class_min[unvoted]))]
+        out[q] = np.concatenate([voted_order, unvoted_order])
+    return out
+
+
+def reference_vote_scores(pairs, decisions, n_classes):
+    """(votes, magnitude) from (n, n_pairs) decision values, four boolean
+    scatters per class pair."""
+    votes = np.zeros((decisions.shape[0], n_classes))
+    magnitude = np.zeros((decisions.shape[0], n_classes))
+    for p, (ci, cj) in enumerate(pairs):
+        dec = decisions[:, p]
+        wins_i = dec >= 0
+        votes[wins_i, ci] += 1
+        votes[~wins_i, cj] += 1
+        magnitude[wins_i, ci] += np.abs(dec[wins_i])
+        magnitude[~wins_i, cj] += np.abs(dec[~wins_i])
+    return votes, magnitude

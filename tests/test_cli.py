@@ -183,6 +183,17 @@ def test_curve_writes_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("sizes", ["2,x", "2.5", "a,b"])
+def test_curve_rejects_malformed_sizes(tmp_path, capsys, sizes):
+    full = tmp_path / "full.csv"
+    out = tmp_path / "curve.csv"
+    assert run(*synth_args(full, per_class=10)) == 0
+    assert run("curve", "--data", full, "--kind", "knn", "--sizes", sizes,
+               "--n-test", 3, "--seed", 4, "--out", out) == 2
+    assert "--sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mitigate_deny_reaches_chance(tmp_path):
     full = tmp_path / "full.csv"
     out = tmp_path / "leak.json"
