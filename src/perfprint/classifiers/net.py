@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError
 from .base import Model, _decode, _encode, check_trainable
 
 DEFAULT_MAX_ITERATIONS = 400
@@ -22,6 +22,7 @@ DEFAULT_L2_WEIGHT = 0.001
 DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_MEMORY_BUDGET_MB = 2048.0
 _MIN_LEARNING_RATE = 1e-15
+_LAYERS = ("w1", "b1", "w2", "b2", "ws", "bs")  # payload names, in file order
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -176,7 +177,19 @@ class AutoencoderNetModel(Model):
 
     @classmethod
     def from_payload(cls, classes, payload, hyperparams, seed):
+        if set(payload) != set(_LAYERS):
+            raise DataError(f"net payload must hold exactly {', '.join(_LAYERS)}")
         weights = {name: _decode(obj) for name, obj in payload.items()}
+        w1, b1, w2, b2, ws, bs = (weights[name] for name in _LAYERS)
+        n_classes = len(classes)
+        if not (
+            w1.ndim == w2.ndim == ws.ndim == 2
+            and b1.shape == (w1.shape[1],) and w2.shape[0] == w1.shape[1]
+            and b2.shape == (w2.shape[1],) and ws.shape[0] == w2.shape[1]
+            and ws.shape[1] == n_classes and bs.shape == (n_classes,)
+        ):
+            shapes = ", ".join(f"{name} {weights[name].shape}" for name in _LAYERS)
+            raise DataError(f"net layer shapes do not chain into {n_classes} classes: {shapes}")
         return cls(classes, weights=weights, hyperparams=hyperparams, seed=seed)
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:

@@ -1,38 +1,177 @@
 """Linear multi-class SVM via one-versus-one decomposition.
 
 Each class pair gets a linear soft-margin classifier minimizing
-0.5*||w||^2 + C * sum(hinge), solved in the dual by deterministic
-coordinate ascent. The bias rides along as an augmented constant feature
-(so it is regularized too, and the dual has simple box constraints only).
+0.5*||w||^2 + C * sum(hinge). The bias rides along as an augmented constant
+feature (so it is regularized too, and the dual has simple box constraints
+only). Each pair's dual, min 0.5*a'Qa - sum(a) over 0 <= a <= C, is solved
+by a primal active-set method whose result is certified against `tol`;
+when it cannot be certified, deterministic dual coordinate ascent solves
+the pair instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError
 from .base import Model, _decode, _encode, check_trainable
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
+ACTIVE_SET, SWEEP = "active-set", "sweep"
+_EPS = np.finfo(np.float64).eps
+
+
+class SolveStats(NamedTuple):
+    """How one pair was solved: `path` is ACTIVE_SET or SWEEP, `steps` the
+    active-set iterations or sweep passes, `violation` the largest
+    projected-gradient entry of the returned alpha."""
+
+    path: str
+    steps: int
+    violation: float
+
+
+class PairSolution(tuple):
+    """`(w, b, alpha, dual)`, which unpacks as a 4-tuple, with its
+    SolveStats as `stats`."""
+
+    def __new__(cls, w, b, alpha, dual, stats: SolveStats):
+        solution = super().__new__(cls, (w, b, alpha, dual))
+        solution.stats = stats
+        return solution
+
+
+def _augmented(X, y):
+    """X and y as float64, X with a constant 1 column, and the dual's Q."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    return X, y, xa, (xa @ xa.T) * np.outer(y, y)
+
+
+def _violation(g, alpha, c) -> float:
+    """The largest projected-gradient entry for gradient g = Q @ alpha - 1."""
+    pg = np.where(alpha <= 0.0, np.minimum(g, 0.0), np.where(alpha >= c, np.maximum(g, 0.0), g))
+    return float(np.max(np.abs(pg), initial=0.0))
+
+
+def _solution(X, y, xa, c, alpha, q_alpha, path, steps) -> PairSolution:
+    """w, b and the dual for alpha. The violation is the larger of the one
+    from q_alpha and the one from the returned w and b, so a result below
+    tol is below it however the gradient is recomputed."""
+    w_aug = xa.T @ (alpha * y)
+    w, b = w_aug[:-1], float(w_aug[-1])
+    dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
+    violation = max(_violation(q_alpha - 1.0, alpha, c), _violation(y * (X @ w + b) - 1.0, alpha, c))
+    return PairSolution(w, b, alpha, dual, SolveStats(path, steps, violation))
 
 
 def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES):
-    """Dual coordinate ascent for one binary problem.
+    """Solve one binary problem; X: (n, d) features, y: +/-1 labels.
 
-    X: (n, d) features, y: +/-1 labels. Returns (w, b, alpha, dual_objective).
-    Coordinates are visited in fixed index order; the solver stops when the
-    largest projected-gradient violation in a full pass drops below `tol`
-    or after `max_passes` passes.
+    Returns a PairSolution, which unpacks as (w, b, alpha, dual_objective).
+    The active-set method runs first; its alpha is returned only when every
+    projected-gradient entry, recomputed from the result, is below `tol`.
+    Otherwise `coordinate_ascent` solves the pair from scratch, so
+    `max_passes` bounds only that fallback.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X, y, xa, q = _augmented(X, y)
+    alpha, iterations = _active_set(q, c, tol)
+    solution = _solution(X, y, xa, c, alpha, q @ alpha, ACTIVE_SET, iterations)
+    if solution.stats.violation < tol:
+        return solution
+    return coordinate_ascent(X, y, c, tol, max_passes)
+
+
+def _newton_direction(q_ff, g_f):
+    """A descent direction on the free set, with its slope g'p and
+    curvature p'Qp: the Newton step when Q_FF is nonsingular; otherwise the
+    part of -g_F in Q_FF's null space (zero curvature, so the objective
+    falls until a bound), or the pseudo-inverse step when -g_F has no such
+    part."""
+    try:
+        p = np.linalg.solve(q_ff, -g_f)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        slope, curvature = float(g_f @ p), float(p @ (q_ff @ p))
+        # An exact Newton step has p'Qp = -g'p; a singular Q_FF breaks that.
+        if curvature > 0.0 and abs(curvature + slope) <= 1e-6 * -slope:
+            return p, slope, curvature
+    lam, v = np.linalg.eigh(q_ff)
+    # Eigenvalues within rounding of zero span the null space; a part of
+    # -g_F there smaller than 1e-8 of it is rounding too.
+    null = lam <= lam[-1] * g_f.size * _EPS * 8
+    coef = v.T @ -g_f
+    if np.linalg.norm(coef[null]) > 1e-8 * np.linalg.norm(g_f):
+        p = v[:, null] @ coef[null]
+    else:
+        p = v[:, ~null] @ (coef[~null] / lam[~null])
+    return p, float(g_f @ p), float(p @ (q_ff @ p))
+
+
+def _active_set(q, c, tol):
+    """Minimize 0.5*a'Qa - sum(a) over 0 <= a <= c from a = 0 with every
+    coordinate on its lower bound. Returns (alpha, iterations).
+
+    Each iteration either steps on the free set (the exact minimizer along
+    the direction, or up to the first bound it meets, which then holds that
+    coordinate) or, once the free set is minimized, releases the bound
+    coordinate whose multiplier breaks tol the most. It stops when none
+    does, or after 10 * (n + 1) iterations; the caller certifies alpha.
+    """
+    n = q.shape[0]
+    alpha = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    minimized = True  # over the (empty) free set
+    for iteration in range(1, 10 * (n + 1) + 1):
+        g = q @ alpha - 1.0
+        f = np.flatnonzero(free)
+        if minimized or not f.size or np.abs(g[f]).max() < tol:
+            # Multipliers: -g on the lower bound, g on the upper.
+            broken = np.where(alpha <= 0.0, -g, g)
+            broken[f] = -np.inf
+            i = int(np.argmax(broken))
+            if broken[i] < tol:
+                return alpha, iteration
+            free[i] = True
+            minimized = False
+            continue
+        p, slope, curvature = _newton_direction(q[np.ix_(f, f)], g[f])
+        if not slope < 0.0:  # no descent left in floating point
+            minimized = True
+            continue
+        step = -slope / curvature if curvature > 0.0 else np.inf
+        a_f = alpha[f]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(p < 0.0, -a_f / p, np.where(p > 0.0, (c - a_f) / p, np.inf))
+        j = int(np.argmin(room))
+        minimized = step < room[j]
+        a_f = np.clip(a_f + min(step, room[j]) * p, 0.0, c)
+        if not minimized:
+            a_f[j] = 0.0 if p[j] < 0.0 else c
+        alpha[f] = a_f
+        free[f[(a_f <= 0.0) | (a_f >= c)]] = False
+    return alpha, iteration
+
+
+def coordinate_ascent(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES):
+    """Dual coordinate ascent for one binary problem, the fallback of
+    `solve_pair`; returns a PairSolution.
+
+    Coordinates are visited in fixed index order; the solver stops when the
+    largest projected-gradient violation seen during a full pass drops
+    below `tol` or after `max_passes` passes. That test looks at each
+    coordinate before its own update, so the returned alpha may still
+    break tol (its stats say by how much).
+    """
+    X, y, xa, q = _augmented(X, y)
     n = X.shape[0]
-    xa = np.hstack([X, np.ones((n, 1))])
-    q = (xa @ xa.T) * np.outer(y, y)
     # The sweep reads and writes single coordinates, so alpha and the
     # diagonal are Python floats (the same IEEE doubles, without numpy's
     # per-scalar overhead); only the running Q @ alpha stays a vector.
@@ -41,7 +180,8 @@ def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAU
     alpha = [0.0] * n
     q_alpha = np.zeros(n)  # running Q @ alpha
 
-    for _ in range(max_passes):
+    passes = 0
+    for passes in range(1, max_passes + 1):
         worst = 0.0
         for i in range(n):
             g = q_alpha.item(i) - 1.0
@@ -64,9 +204,7 @@ def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAU
             break
 
     alpha = np.array(alpha, dtype=np.float64)
-    w_aug = xa.T @ (alpha * y)
-    dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
-    return w_aug[:-1], float(w_aug[-1]), alpha, dual
+    return _solution(X, y, xa, c, alpha, q_alpha, SWEEP, passes)
 
 
 def dual_objective(alpha, X, y) -> float:
@@ -83,7 +221,15 @@ class LinearSvmModel(Model):
     kind = "svm"
 
     def __init__(
-        self, classes, pairs, weights, biases, hyperparams=None, seed=None, train_seconds=0.0
+        self,
+        classes,
+        pairs,
+        weights,
+        biases,
+        hyperparams=None,
+        seed=None,
+        train_seconds=0.0,
+        solve_stats=(),
     ):
         super().__init__(
             classes, seed=seed, hyperparams=hyperparams, train_seconds=train_seconds
@@ -92,6 +238,9 @@ class LinearSvmModel(Model):
         self._lower, self._higher = np.array(self.pairs, dtype=np.int64).reshape(-1, 2).T
         self.weights = np.asarray(weights, dtype=np.float64)  # (n_pairs, d)
         self.biases = np.asarray(biases, dtype=np.float64)
+        # One SolveStats per pair from training; never saved, so a loaded
+        # model has none and model files keep their bytes.
+        self.solve_stats = list(solve_stats)
 
     @property
     def n_features(self) -> int:
@@ -106,13 +255,32 @@ class LinearSvmModel(Model):
 
     @classmethod
     def from_payload(cls, classes, payload, hyperparams, seed):
-        return cls(
-            classes,
-            pairs=payload["pairs"],
-            weights=_decode(payload["weights"]),
-            biases=_decode(payload["biases"]),
-            hyperparams=hyperparams,
-            seed=seed,
+        pairs, n_classes = payload["pairs"], len(classes)
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p)
+            and 0 <= p[0] < p[1] < n_classes
+            for p in pairs
+        ):
+            raise DataError(f"svm pairs must be class indices [i, j] with i < j < {n_classes}")
+        weights, biases = _decode(payload["weights"]), _decode(payload["biases"])
+        if weights.ndim != 2 or weights.shape[0] != len(pairs) or biases.shape != (len(pairs),):
+            raise DataError(
+                f"svm has {len(pairs)} pairs but weights of shape {weights.shape} "
+                f"and biases of shape {biases.shape}"
+            )
+        return cls(classes, pairs, weights, biases, hyperparams=hyperparams, seed=seed)
+
+    def solve_summary(self) -> str:
+        """How training solved the pairs: how many each path solved, and
+        how many the sweep left uncertified at max_passes."""
+        paths = [s.path for s in self.solve_stats]
+        tol, max_passes = self.hyperparams["tol"], self.hyperparams["max_passes"]
+        capped = sum(
+            s.path == SWEEP and s.steps == max_passes and s.violation >= tol for s in self.solve_stats
+        )
+        return (
+            f"svm pairs: {paths.count(ACTIVE_SET)} by active set, {paths.count(SWEEP)} by sweep, "
+            f"{capped} uncertified at max_passes {max_passes} (tol {tol:g})"
         )
 
     def _vote_scores(self, X: np.ndarray):
@@ -144,7 +312,8 @@ def train_svm(
     max_passes: int = DEFAULT_MAX_PASSES,
     seed=None,
 ) -> LinearSvmModel:
-    """Fit all N*(N-1)/2 pairwise linear classifiers."""
+    """Fit all N*(N-1)/2 pairwise linear classifiers. The model keeps how
+    each pair was solved as `solve_stats`, one SolveStats per pair."""
     check_trainable(train, min_classes=2)
     if c <= 0:
         raise ConfigError(f"C must be > 0, got {c}")
@@ -155,12 +324,13 @@ def train_svm(
     pairs = list(itertools.combinations(range(len(classes)), 2))
     weights = np.zeros((len(pairs), X.shape[1]))
     biases = np.zeros(len(pairs))
+    stats = []
     for p, (ci, cj) in enumerate(pairs):
         mask = (y == ci) | (y == cj)
         labels = np.where(y[mask] == ci, 1.0, -1.0)  # +1 is the lower index
-        w, b, _, _ = solve_pair(X[mask], labels, c, tol=tol, max_passes=max_passes)
-        weights[p] = w
-        biases[p] = b
+        solution = solve_pair(X[mask], labels, c, tol=tol, max_passes=max_passes)
+        weights[p], biases[p] = solution[:2]
+        stats.append(solution.stats)
     return LinearSvmModel(
         classes=classes,
         pairs=pairs,
@@ -169,4 +339,5 @@ def train_svm(
         hyperparams={"C": float(c), "tol": float(tol), "max_passes": int(max_passes)},
         seed=seed,
         train_seconds=time.perf_counter() - t0,
+        solve_stats=stats,
     )

@@ -63,7 +63,8 @@ _MODEL_FLAGS = {
     "svm": [
         ("--C", "c", float, 1.0, "SVM regularization"),
         ("--tol", "tol", float, classifiers.svm.DEFAULT_TOL, None),
-        ("--max-passes", "max_passes", int, classifiers.svm.DEFAULT_MAX_PASSES, None),
+        ("--max-passes", "max_passes", int, classifiers.svm.DEFAULT_MAX_PASSES,
+         "passes of the coordinate sweep that solves an SVM pair the active set cannot certify"),
     ],
     "net": [
         ("--train-seed", "seed", int, 0, None),
@@ -186,6 +187,8 @@ def cmd_train(args) -> int:
     )
     print(f"trained {args.kind} on {len(d)} measurements "
           f"({model.n_classes} classes) in {model.train_seconds:.1f} s -> {args.out}")
+    if isinstance(model, classifiers.LinearSvmModel):
+        print(model.solve_summary())
     return 0
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfprint.classifiers import train_svm
-from perfprint.classifiers.svm import dual_objective, solve_pair
+from perfprint.classifiers.svm import ACTIVE_SET, SWEEP, coordinate_ascent, dual_objective, solve_pair
 from perfprint.errors import DataError
 
 from helpers import build_dataset, random_dataset
@@ -139,7 +141,7 @@ def test_sweep_matches_the_reference_bit_for_bit(seed):
     c = [0.05, 0.5, 1.0, 2, 10.0, 100.0][seed % 6]  # an int C too
     max_passes = [1, 3, 1000][seed % 3]
     tol = [1e-3, 1e-12][seed % 2]
-    assert _bits(solve_pair(X, y, c, tol=tol, max_passes=max_passes)) == _bits(
+    assert _bits(coordinate_ascent(X, y, c, tol=tol, max_passes=max_passes)) == _bits(
         reference_solve_pair(X, y, c, tol, max_passes)
     )
 
@@ -149,6 +151,100 @@ def test_sweep_matches_the_reference_at_the_pass_cap():
     X = rng.normal(size=(30, 3))
     y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
     for max_passes in (1, 2, 5, 50):
-        assert _bits(solve_pair(X, y, 10.0, tol=1e-15, max_passes=max_passes)) == _bits(
+        assert _bits(coordinate_ascent(X, y, 10.0, tol=1e-15, max_passes=max_passes)) == _bits(
             reference_solve_pair(X, y, 10.0, 1e-15, max_passes)
         )
+
+
+# derandomize keeps the examples fixed from run to run.
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@st.composite
+def pair_problems(draw):
+    """Small pair problems, many with a singular Q: more rows than features
+    plus one, zero-width rows (the deny policy), rows repeated under the
+    other label, and all rows identical."""
+    n = draw(st.sampled_from([2, 3, 5, 9, 16, 24]))
+    shape = draw(st.sampled_from(["random", "zero-width", "duplicates", "identical"]))
+    d = 0 if shape == "zero-width" else draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[0], y[-1] = 1.0, -1.0
+    if shape == "duplicates":
+        half = n // 2
+        X[half:2 * half] = X[:half]
+        y[half:2 * half] = -y[:half]
+    elif shape == "identical":
+        X[:] = X[0]
+    c = draw(st.sampled_from([0.05, 1.0, 100.0]))
+    tol = draw(st.sampled_from([1e-3, 1e-12]))
+    return X, y, c, tol
+
+
+def _violation(X, y, c, result):
+    """The projected-gradient violation recomputed from X, y, w and b."""
+    w, b, alpha, _ = result
+    g = y * (X @ w + b) - 1.0
+    pg = np.where(alpha <= 0.0, np.minimum(g, 0.0), np.where(alpha >= c, np.maximum(g, 0.0), g))
+    return np.abs(pg).max()
+
+
+@PROPERTY
+@given(pair_problems())
+def test_solve_pair_is_certified_or_falls_back_to_the_sweep(problem):
+    X, y, c, tol = problem
+    result = solve_pair(X, y, c, tol=tol)
+    _, _, alpha, dual = result
+    assert ((alpha >= 0.0) & (alpha <= c)).all()
+    if result.stats.path == ACTIVE_SET:
+        assert _violation(X, y, c, result) < tol
+        assert result.stats.violation < tol
+        _, _, _, sweep_dual = coordinate_ascent(X, y, c, tol=1e-12)
+        assert dual >= sweep_dual - len(y) * c * tol
+    else:
+        assert result.stats.path == SWEEP
+        assert _bits(result) == _bits(coordinate_ascent(X, y, c, tol=tol))
+
+
+
+def test_uncertified_pairs_take_the_sweep():
+    # At C = 100 the gradient's rounding error is near 1e-12, so some of
+    # these problems cannot be certified at that tol; tol 0 never can be.
+    paths = []
+    for seed in range(40):
+        rng = np.random.default_rng(900 + seed)
+        n, d = int(rng.integers(10, 25)), int(rng.integers(1, 7))
+        X = rng.normal(size=(n, d)) * 5.0
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[0], y[-1] = 1.0, -1.0
+        for c, tol in ((100.0, 1e-12), (1.0, 0.0)):
+            result = solve_pair(X, y, c, tol=tol, max_passes=50)
+            paths.append(result.stats.path)
+            if result.stats.path == SWEEP:
+                assert _bits(result) == _bits(coordinate_ascent(X, y, c, tol=tol, max_passes=50))
+                assert result.stats.steps <= 50
+            else:
+                assert _violation(X, y, c, result) < tol
+    assert ACTIVE_SET in paths[::2] and SWEEP in paths[::2]
+    assert set(paths[1::2]) == {SWEEP}
+
+
+def test_training_keeps_each_pair_solve_off_the_file():
+    rng = np.random.default_rng(12)
+    d = random_dataset(rng, 4, 6, 3, spread=1.0)
+    model = train_svm(d, max_passes=7)
+    assert len(model.solve_stats) == len(model.pairs)
+    for stats in model.solve_stats:
+        assert stats.path == ACTIVE_SET and stats.violation < 1e-3
+    assert "stats" not in str(model.to_payload())
+    assert model.solve_summary() == (
+        "svm pairs: 6 by active set, 0 by sweep, 0 uncertified at max_passes 7 (tol 0.001)"
+    )
+    capped = train_svm(d, tol=0.0, max_passes=7)
+    assert [s.path for s in capped.solve_stats] == [SWEEP] * 6
+    assert all(s.steps == 7 for s in capped.solve_stats)
+    assert capped.solve_summary() == (
+        "svm pairs: 0 by active set, 6 by sweep, 6 uncertified at max_passes 7 (tol 0)"
+    )

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -240,6 +241,19 @@ def _train_cli_model(tmp_path, kind, *flags):
     return model, test
 
 
+def test_train_svm_prints_how_the_pairs_were_solved(tmp_path, capsys):
+    full, model = tmp_path / "full.csv", tmp_path / "svm.json"
+    assert run(*synth_args(full, classes=3, per_class=4, samples=20)) == 0
+    assert run("train", "--data", full, "--kind", "svm", "--out", model) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == "svm pairs: 3 by active set, 0 by sweep, 0 uncertified at max_passes 1000 (tol 0.001)"
+    # No alpha is certified at tol 0, so every pair runs the sweep to its cap.
+    assert run("train", "--data", full, "--kind", "svm", "--tol", 0, "--max-passes", 4,
+               "--out", model) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == "svm pairs: 0 by active set, 3 by sweep, 3 uncertified at max_passes 4 (tol 0)"
+
+
 def _drop_classes(doc):
     del doc["classes"]
 
@@ -262,15 +276,39 @@ def _short_leaf_counts(doc):
     leaf["counts"] = leaf["counts"][:-1]
 
 
+def _pair_out_of_range(doc):
+    doc["payload"]["pairs"][0] = [1, 7]
+
+
+def _one_pair_fewer(doc):
+    del doc["payload"]["pairs"][-1]
+
+
+def _resize(doc, name, delta):
+    """Drop (delta < 0) or repeat (delta > 0) the last entries of a 1-D array."""
+    obj = doc["payload"][name]
+    raw = base64.b64decode(obj["data"])
+    raw = raw[: len(raw) + 8 * delta] if delta < 0 else raw + raw[-8 * delta:]
+    obj["data"], obj["shape"] = base64.b64encode(raw).decode("ascii"), [obj["shape"][0] + delta]
+
+
 @pytest.mark.parametrize("corrupt, kind", [
     (_drop_classes, "knn"),
     (_list_payload, "knn"),
     (_child_out_of_range, "tree"),
     (_root_is_its_own_child, "tree"),
     (_short_leaf_counts, "tree"),
-], ids=["no-classes", "list-payload", "child-out-of-range", "root-loops", "short-leaf-counts"])
+    (_pair_out_of_range, "svm"),
+    (_one_pair_fewer, "svm"),
+    (lambda doc: _resize(doc, "biases", -1), "svm"),
+    (lambda doc: _resize(doc, "b1", -1), "net"),
+    (lambda doc: _resize(doc, "bs", 1), "net"),
+], ids=["no-classes", "list-payload", "child-out-of-range", "root-loops", "short-leaf-counts",
+        "svm-pair-out-of-range", "svm-one-pair-fewer", "svm-short-biases", "net-short-b1",
+        "net-long-bs"])
 def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
-    model, test = _train_cli_model(tmp_path, kind, *(["--min-parent", 2] if kind == "tree" else []))
+    flags = {"tree": ["--min-parent", 2], "net": ["--max-iter", 2, "--hidden1", 8, "--hidden2", 4]}
+    model, test = _train_cli_model(tmp_path, kind, *flags.get(kind, []))
     doc = json.loads(model.read_text())
     corrupt(doc)
     model.write_text(json.dumps(doc))
