@@ -23,7 +23,6 @@ from .base import Model, _decode, _encode, check_trainable
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
 ACTIVE_SET, SWEEP = "active-set", "sweep"
-_EPS = np.finfo(np.float64).eps
 
 
 class SolveStats(NamedTuple):
@@ -106,7 +105,7 @@ def _newton_direction(q_ff, g_f):
     lam, v = np.linalg.eigh(q_ff)
     # Eigenvalues within rounding of zero span the null space; a part of
     # -g_F there smaller than 1e-8 of it is rounding too.
-    null = lam <= lam[-1] * g_f.size * _EPS * 8
+    null = lam <= lam[-1] * g_f.size * np.finfo(np.float64).eps * 8
     coef = v.T @ -g_f
     if np.linalg.norm(coef[null]) > 1e-8 * np.linalg.norm(g_f):
         p = v[:, null] @ coef[null]

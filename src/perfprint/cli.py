@@ -64,7 +64,7 @@ _MODEL_FLAGS = {
         ("--C", "c", float, 1.0, "SVM regularization"),
         ("--tol", "tol", float, classifiers.svm.DEFAULT_TOL, None),
         ("--max-passes", "max_passes", int, classifiers.svm.DEFAULT_MAX_PASSES,
-         "passes of the coordinate sweep that solves an SVM pair the active set cannot certify"),
+         "bounds only the fallback coordinate sweep, run for an SVM pair the active set cannot certify"),
     ],
     "net": [
         ("--train-seed", "seed", int, 0, None),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfprint.classifiers import train_svm
+from perfprint.classifiers import LinearSvmModel, train_svm
 from perfprint.classifiers.svm import ACTIVE_SET, SWEEP, coordinate_ascent, dual_objective, solve_pair
 from perfprint.errors import DataError
 
@@ -238,7 +238,9 @@ def test_training_keeps_each_pair_solve_off_the_file():
     assert len(model.solve_stats) == len(model.pairs)
     for stats in model.solve_stats:
         assert stats.path == ACTIVE_SET and stats.violation < 1e-3
-    assert "stats" not in str(model.to_payload())
+    assert set(model.to_payload()) == {"pairs", "weights", "biases"}
+    reloaded = LinearSvmModel.from_payload(model.classes, model.to_payload(), model.hyperparams, None)
+    assert reloaded.solve_stats == []
     assert model.solve_summary() == (
         "svm pairs: 6 by active set, 0 by sweep, 0 uncertified at max_passes 7 (tol 0.001)"
     )
