@@ -64,7 +64,8 @@ _MODEL_FLAGS = {
         ("--C", "c", float, 1.0, "SVM regularization"),
         ("--tol", "tol", float, classifiers.svm.DEFAULT_TOL, None),
         ("--max-passes", "max_passes", int, classifiers.svm.DEFAULT_MAX_PASSES,
-         "bounds only the fallback coordinate sweep, run for an SVM pair the active set cannot certify"),
+         "caps each SVM pair's active-set iterations, and the passes of the coordinate sweep "
+         "run when the active set cannot certify the pair"),
     ],
     "net": [
         ("--train-seed", "seed", int, 0, None),

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,26 +196,25 @@ def _violation(X, y, c, result):
 
 @PROPERTY
 @given(pair_problems())
-def test_solve_pair_is_certified_or_falls_back_to_the_sweep(problem):
+def test_solve_pair_is_certified_or_keeps_the_smaller_violation(problem):
     X, y, c, tol = problem
     result = solve_pair(X, y, c, tol=tol)
     _, _, alpha, dual = result
     assert ((alpha >= 0.0) & (alpha <= c)).all()
-    if result.stats.path == ACTIVE_SET:
+    if result.stats.path == ACTIVE_SET and result.stats.violation < tol:
         assert _violation(X, y, c, result) < tol
-        assert result.stats.violation < tol
         _, _, _, sweep_dual = coordinate_ascent(X, y, c, tol=1e-12)
         assert dual >= sweep_dual - len(y) * c * tol
-    else:
-        assert result.stats.path == SWEEP
-        assert _bits(result) == _bits(coordinate_ascent(X, y, c, tol=tol))
+        return
+    # The active set could not certify the pair, so the sweep ran too.
+    sweep = coordinate_ascent(X, y, c, tol=tol)
+    assert result.stats.violation <= sweep.stats.violation
+    if result.stats.path == SWEEP:
+        assert _bits(result) == _bits(sweep)
 
 
-
-def test_uncertified_pairs_take_the_sweep():
-    # At C = 100 the gradient's rounding error is near 1e-12, so some of
-    # these problems cannot be certified at that tol; tol 0 never can be.
-    paths = []
+def test_uncertified_pairs_keep_the_smaller_violation():
+    # tol 0 can never be certified, so each of these pairs runs both paths.
     for seed in range(40):
         rng = np.random.default_rng(900 + seed)
         n, d = int(rng.integers(10, 25)), int(rng.integers(1, 7))
@@ -221,20 +223,37 @@ def test_uncertified_pairs_take_the_sweep():
         y[0], y[-1] = 1.0, -1.0
         for c, tol in ((100.0, 1e-12), (1.0, 0.0)):
             result = solve_pair(X, y, c, tol=tol, max_passes=50)
-            paths.append(result.stats.path)
-            if result.stats.path == SWEEP:
-                assert _bits(result) == _bits(coordinate_ascent(X, y, c, tol=tol, max_passes=50))
-                assert result.stats.steps <= 50
-            else:
+            assert result.stats.steps <= 50
+            if result.stats.path == ACTIVE_SET and result.stats.violation < tol:
                 assert _violation(X, y, c, result) < tol
-    assert ACTIVE_SET in paths[::2] and SWEEP in paths[::2]
-    assert set(paths[1::2]) == {SWEEP}
+                continue
+            sweep = coordinate_ascent(X, y, c, tol=tol, max_passes=50)
+            assert result.stats.violation <= sweep.stats.violation
+            if result.stats.path == SWEEP:
+                assert _bits(result) == _bits(sweep)
+
+
+def test_max_passes_bounds_the_active_set_too():
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(size=(20, 3)) + 0.3, rng.normal(size=(20, 3)) - 0.3])
+    y = np.array([1.0] * 20 + [-1.0] * 20)
+    assert solve_pair(X, y, 1.0).stats.violation < 1e-3
+    capped = solve_pair(X, y, 1.0, max_passes=1)
+    assert capped.stats.steps == 1 and capped.stats.violation >= 1e-3
+
+
+def test_pair_solution_copies_keep_their_stats():
+    rng = np.random.default_rng(3)
+    X, y = rng.normal(size=(6, 2)), np.array([1.0, -1.0] * 3)
+    result = solve_pair(X, y, 1.0)
+    for twin in (copy.copy(result), copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert twin.stats == result.stats and _bits(twin) == _bits(result)
 
 
 def test_training_keeps_each_pair_solve_off_the_file():
     rng = np.random.default_rng(12)
     d = random_dataset(rng, 4, 6, 3, spread=1.0)
-    model = train_svm(d, max_passes=7)
+    model = train_svm(d)
     assert len(model.solve_stats) == len(model.pairs)
     for stats in model.solve_stats:
         assert stats.path == ACTIVE_SET and stats.violation < 1e-3
@@ -242,11 +261,8 @@ def test_training_keeps_each_pair_solve_off_the_file():
     reloaded = LinearSvmModel.from_payload(model.classes, model.to_payload(), model.hyperparams, None)
     assert reloaded.solve_stats == []
     assert model.solve_summary() == (
-        "svm pairs: 6 by active set, 0 by sweep, 0 uncertified at max_passes 7 (tol 0.001)"
+        "svm pairs: 6 by active set, 0 by sweep, 0 uncertified at max_passes 1000 (tol 0.001)"
     )
     capped = train_svm(d, tol=0.0, max_passes=7)
-    assert [s.path for s in capped.solve_stats] == [SWEEP] * 6
-    assert all(s.steps == 7 for s in capped.solve_stats)
-    assert capped.solve_summary() == (
-        "svm pairs: 0 by active set, 6 by sweep, 6 uncertified at max_passes 7 (tol 0)"
-    )
+    assert all(s.steps == 7 and s.violation > 0.0 for s in capped.solve_stats)
+    assert capped.solve_summary().endswith("6 uncertified at max_passes 7 (tol 0)")
