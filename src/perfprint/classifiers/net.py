@@ -26,12 +26,15 @@ _LAYERS = ("w1", "b1", "w2", "b2", "ws", "bs")  # payload names, in file order
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    # e = exp(-|z|) never overflows. Negating z only where z >= 0 keeps a
+    # nan's sign bit, which -np.abs(z) would flip. Working in place holds
+    # two z-sized arrays at most.
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.negative(z, out=z.copy(), where=pos)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    np.divide(e, d, out=e)  # e / (1 + e), kept where z < 0
+    return np.divide(1.0, d, out=e, where=pos)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -8,6 +8,14 @@ File format: one self-describing JSON header line, then one CSV row per
 measurement (`label,feature_0,...`), floats at 9 significant digits. Every
 feature is finite: `nan` and infinities are refused on write and on load.
 
+Rows whose values are all integers below 1e9 in magnitude (counter
+samples) are written as plain integers, the same text `%.9g` gives.
+
+Loading parses every row body in one `np.loadtxt` call. A file that call
+cannot read exactly as the per-line parser would (a malformed row, a
+non-finite value, a token only Python's `float` accepts) is parsed again
+line by line, which names the first bad line in its DataError.
+
 Every dataset write is atomic: the file is written beside its target and
 renamed over it, so a failed write leaves the old file as it was. Appending
 a measurement re-validates the whole file as `load` does, but re-writes only
@@ -253,7 +261,12 @@ def kfold(d: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
 
 
 def _format_row(m: Measurement) -> str:
-    values = m.features.tolist()
+    x = m.features
+    # An integer below 1e9 in magnitude prints as `%.9g` prints it, but
+    # faster; -0.0 is left to `%.9g`, which keeps its sign.
+    if (np.abs(x) < 1e9).all() and (np.trunc(x) == x).all() and not np.signbit(x[x == 0]).any():
+        return m.label + "," + ",".join(map(str, x.astype(np.int64).tolist())) + "\n"
+    values = x.tolist()
     return m.label + "," + (",".join(["%.9g"] * len(values)) % tuple(values)) + "\n"
 
 
@@ -333,7 +346,14 @@ def load(path: str) -> Dataset:
 
 
 def _parse(path: str) -> tuple[Dataset, list[str]]:
-    """Parse and validate a dataset file; also return its non-empty row lines."""
+    """Parse and validate a dataset file; also return its non-empty row lines.
+
+    All row bodies are parsed at once by `_parse_rows_bulk`. Only when that
+    cannot vouch for its result does `_parse_rows_one_by_one` run, and it
+    either raises the DataError naming the first bad line or reads the rare
+    tokens the bulk parser refuses. Both round correctly, so the features
+    are the same bits either way. A header `row_meta` needs one entry per row.
+    """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -361,8 +381,72 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
 
     length = header.get("feature_length")
     row_meta = header.get("row_meta")
+    rows = [line for line in lines[1:] if line]
+    measurements = _parse_rows_bulk(rows, length, row_meta)
+    if measurements is None:
+        measurements = _parse_rows_one_by_one(path, lines, length, row_meta)
+        if row_meta is not None and len(row_meta) > len(measurements):
+            raise DataError(
+                f"{path}: line 1: header row_meta has {len(row_meta)} entries, "
+                f"more than the {len(measurements)} rows"
+            )
+
+    classes = sorted({m.label for m in measurements})
+    if header.get("classes") and classes != sorted(header["classes"]):
+        raise DataError(
+            f"{path}: header classes {header['classes']} do not match rows {classes}"
+        )
+
+    normalization = None
+    if header.get("normalization") is not None:
+        try:
+            normalization = NormParams(
+                feature_min=np.array(header["normalization"]["min"], dtype=np.float64),
+                feature_max=np.array(header["normalization"]["max"], dtype=np.float64),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
+    meta = dict(header.get("meta") or {})
+    for key in ("scenario", "events", "samples_per_event"):
+        if header.get(key) is not None:
+            meta[key] = header[key]
+    return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta), rows
+
+
+def _parse_rows_bulk(rows: list[str], length, row_meta) -> list[Measurement] | None:
+    """Every row body parsed by one `np.loadtxt` call, or None when the
+    result might differ from what `_parse_rows_one_by_one` returns.
+
+    It is kept only when each row holds `length` finite features and
+    `row_meta`, if present, has one entry per row. Any other file, and any
+    token loadtxt refuses, goes to the per-line parser, which raises the
+    error or accepts the tokens only Python's `float` reads (`1_0`, `١`).
+    """
+    split = [row.partition(",") for row in rows]
+    bodies = [body for _, _, body in split]
+    # loadtxt skips empty lines, so an empty body would shift every later
+    # row; "\x1f" is whitespace to loadtxt but not to numpy's string cast.
+    if not bodies or not all(bodies) or any("\x1f" in body for body in bodies):
+        return None
+    if row_meta is not None and len(row_meta) != len(rows):
+        return None
+    try:
+        x = np.loadtxt(bodies, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if x.shape != (len(rows), length) or not np.isfinite(x).all():
+        return None
+    metas = row_meta if row_meta is not None else [{} for _ in rows]
+    return [
+        Measurement(label=label, features=features, meta=meta)
+        for (label, _, _), features, meta in zip(split, x, metas)
+    ]
+
+
+def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta) -> list[Measurement]:
+    """The rows of `lines[1:]` parsed line by line; raises the DataError
+    that names the first bad line."""
     measurements = []
-    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -388,28 +472,8 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
                 )
             meta = row_meta[len(measurements)]
         measurements.append(Measurement(label=label, features=features, meta=meta))
-        rows.append(line)
 
-    classes = sorted({m.label for m in measurements})
-    if header.get("classes") and classes != sorted(header["classes"]):
-        raise DataError(
-            f"{path}: header classes {header['classes']} do not match rows {classes}"
-        )
-
-    normalization = None
-    if header.get("normalization") is not None:
-        try:
-            normalization = NormParams(
-                feature_min=np.array(header["normalization"]["min"], dtype=np.float64),
-                feature_max=np.array(header["normalization"]["max"], dtype=np.float64),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
-    meta = dict(header.get("meta") or {})
-    for key in ("scenario", "events", "samples_per_event"):
-        if header.get(key) is not None:
-            meta[key] = header[key]
-    return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta), rows
+    return measurements
 
 
 def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = None):

@@ -115,6 +115,17 @@ def finite_difference_grads(loss_fn, params, h=1e-5):
 # tests compare them on random small problems.
 
 
+def reference_sigmoid(z):
+    """The logistic function by two masked gathers, exp(-z) where z >= 0 and
+    exp(z) elsewhere, so neither overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _reference_entropy(counts):
     """Shannon entropy in bits along the last axis, from float counts."""
     counts = np.asarray(counts, dtype=np.float64)
@@ -382,3 +393,95 @@ def reference_vote_scores(pairs, decisions, n_classes):
         magnitude[wins_i, ci] += np.abs(dec[wins_i])
         magnitude[~wins_i, cj] += np.abs(dec[~wins_i])
     return votes, magnitude
+
+
+# -- reference copy of the per-line dataset parser ---------------------------
+# `dataset._parse` as it was when it parsed one row at a time, copied
+# verbatim. The one intended difference: it loads a file whose header
+# row_meta has more entries than the file has rows, which the package refuses.
+
+
+def reference_parse(path):
+    """Parse and validate a dataset file; also return its non-empty row lines."""
+    import json
+
+    from perfprint.dataset import FILE_FORMAT, FILE_VERSION, Dataset, Measurement, NormParams
+    from perfprint.errors import DataError
+    from perfprint.events import EVENT_KINDS
+
+    with open(path, "r") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty dataset file")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: line 1: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: line 1: header is not a JSON object")
+    if header.get("format") != FILE_FORMAT:
+        raise DataError(f"{path}: not a {FILE_FORMAT} file")
+    if header.get("version") != FILE_VERSION:
+        raise DataError(f"{path}: unsupported version {header.get('version')!r}")
+
+    for key, kind, item in (("events", list, str), ("classes", list, str), ("row_meta", list, dict),
+                            ("meta", dict, object), ("normalization", dict, object)):
+        value = header.get(key)
+        if value is not None and not (isinstance(value, kind) and all(isinstance(v, item) for v in value)):
+            of = "" if item is object else f" of {item.__name__}"
+            raise DataError(f"{path}: line 1: {key} is not a {kind.__name__}{of}")
+    for name in header.get("events") or []:
+        if name not in EVENT_KINDS:
+            raise DataError(f"{path}: header references unknown event {name!r}")
+
+    length = header.get("feature_length")
+    row_meta = header.get("row_meta")
+    measurements = []
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        label = fields[0]
+        if len(fields) - 1 != length:
+            raise DataError(
+                f"{path}: line {lineno} (label {label!r}): expected "
+                f"{length} features, found {len(fields) - 1}"
+            )
+        try:
+            features = np.array(fields[1:], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-numeric feature: {exc}") from exc
+        if not np.isfinite(features).all():
+            raise DataError(f"{path}: line {lineno} (label {label!r}): non-finite feature")
+        meta = {}
+        if row_meta is not None:
+            if len(measurements) >= len(row_meta):
+                raise DataError(
+                    f"{path}: line {lineno}: header row_meta has {len(row_meta)} "
+                    f"entries, too few for the rows"
+                )
+            meta = row_meta[len(measurements)]
+        measurements.append(Measurement(label=label, features=features, meta=meta))
+        rows.append(line)
+
+    classes = sorted({m.label for m in measurements})
+    if header.get("classes") and classes != sorted(header["classes"]):
+        raise DataError(
+            f"{path}: header classes {header['classes']} do not match rows {classes}"
+        )
+
+    normalization = None
+    if header.get("normalization") is not None:
+        try:
+            normalization = NormParams(
+                feature_min=np.array(header["normalization"]["min"], dtype=np.float64),
+                feature_max=np.array(header["normalization"]["max"], dtype=np.float64),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
+    meta = dict(header.get("meta") or {})
+    for key in ("scenario", "events", "samples_per_event"):
+        if header.get(key) is not None:
+            meta[key] = header[key]
+    return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta), rows

@@ -10,6 +10,7 @@ from perfprint.classifiers.net import (
     autoencoder_loss,
     descend,
     estimate_memory_mb,
+    sigmoid,
     softmax,
     stack_grads,
     stack_loss,
@@ -17,7 +18,7 @@ from perfprint.classifiers.net import (
 from perfprint.errors import ConfigError
 
 from helpers import random_dataset
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, reference_sigmoid
 
 
 def _relative_errors(analytic, numeric):
@@ -190,3 +191,13 @@ def test_prediction_is_pure():
     q = rng.normal(size=6)
     assert model.predict(q) == model.predict(q)
     assert model.predict_topk(q, 3) == model.predict_topk(q, 3)
+
+
+def test_sigmoid_matches_the_masked_reference_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             710.0, -710.0, 745.2, -745.2, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+    rng = np.random.default_rng(0)
+    z = np.concatenate([edges, rng.normal(scale=30.0, size=4000)]).reshape(-1, 4)
+    assert np.signbit(z[3, 3]) and not np.signbit(z[3, 2])  # both nan signs are covered
+    assert sigmoid(z).view(np.uint64).tolist() == reference_sigmoid(z).view(np.uint64).tolist()

@@ -91,8 +91,10 @@ def test_missing_data_file_exits_three(tmp_path):
     {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "events": 3},
     {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "classes": 1},
     {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "meta": [["k", "v"]]},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "classes": ["a"],
+     "row_meta": [{"visit": 0}, {"visit": 1}, {"visit": 2}]},
 ], ids=["short-row-meta", "list-header", "normalization-without-max", "int-events",
-        "int-classes", "list-meta"])
+        "int-classes", "list-meta", "surplus-row-meta"])
 def test_prep_on_malformed_header_exits_three(tmp_path, capsys, header):
     data = tmp_path / "bad.csv"
     data.write_text(json.dumps(header) + "\na,1.0\na,2.0\n")

@@ -335,7 +335,9 @@ def test_append_gives_the_same_bytes_as_save(tmp_path):
     (_header(), "a,1.0,2.0\na,1.0,x\n", "line 3: non-numeric"),
     (_header(), "a,1.0,2.0\na,1.0\n", "line 3"),
     (_header(row_meta=[{"visit": 0}]), "a,1.0,2.0\na,3.0,4.0\n", "line 3: header row_meta"),
-], ids=["non-numeric", "field-count", "short-row-meta"])
+    (_header(row_meta=[{"visit": 0}, {"visit": 1}, {"visit": 2}]), "a,1.0,2.0\na,3.0,4.0\n",
+     "line 1: header row_meta has 3 entries, more than the 2 rows"),
+], ids=["non-numeric", "field-count", "short-row-meta", "surplus-row-meta"])
 def test_append_rejects_what_load_rejects(tmp_path, header, rows, match):
     path = tmp_path / "trace.csv"
     path.write_text(header + "\n" + rows)
@@ -360,7 +362,8 @@ def test_append_keeps_hand_written_rows_as_written(tmp_path):
     (_header(row_meta=[]), "line 2: header row_meta"),
     (json.dumps([1, 2]), "line 1: header is not a JSON object"),
     (_header(row_meta={"visit": 0}), "line 1: row_meta is not a list"),
-], ids=["short-row-meta", "list-header", "dict-row-meta"])
+    (_header(row_meta=[{}, {}, {}]), "line 1: header row_meta has 3 entries, more than the 1 rows"),
+], ids=["short-row-meta", "list-header", "dict-row-meta", "surplus-row-meta"])
 def test_load_rejects_malformed_header_fields(tmp_path, header, match):
     path = tmp_path / "bad.csv"
     path.write_text(header + "\na,1.0,2.0\n")
