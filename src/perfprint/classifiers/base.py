@@ -78,7 +78,7 @@ def _encode(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.float64)
     return {
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
+        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii"),
     }
 
 

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError
 from .base import Model, _decode, _encode, check_trainable
 
 
@@ -34,13 +34,16 @@ class KnnModel(Model):
 
     @classmethod
     def from_payload(cls, classes, payload, hyperparams, seed):
-        return cls(
-            classes,
-            train_x=_decode(payload["train_x"]),
-            train_y=np.array(payload["train_y"], dtype=np.int64),
-            k=payload["k"],
-            seed=seed,
-        )
+        train_x, train_y, k = _decode(payload["train_x"]), payload["train_y"], payload["k"]
+        n_classes = len(classes)
+        if not (isinstance(train_y, list) and train_y
+                and all(type(c) is int and 0 <= c < n_classes for c in train_y)):
+            raise DataError(f"knn train_y must be a non-empty list of class indices below {n_classes}")
+        if not (train_x.ndim == 2 and train_x.shape[0] == len(train_y)
+                and type(k) is int and 1 <= k <= len(train_y)):
+            raise DataError(f"knn has {len(train_y)} labels, k {k!r} and training rows of shape "
+                            f"{train_x.shape}")
+        return cls(classes, train_x, np.array(train_y, dtype=np.int64), k, seed=seed)
 
     def _distances(self, X: np.ndarray) -> np.ndarray:
         # ||a-b||^2 = |a|^2 + |b|^2 - 2ab, clipped against tiny negatives.

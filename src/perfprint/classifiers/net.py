@@ -10,6 +10,7 @@ non-increasing and training is bit-reproducible from the seed.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -48,29 +49,83 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def autoencoder_loss(params, X, l2):
+class Workspace:
+    """The arrays one training stage reuses from step to step.
+
+    `named(name, shape)` returns the same array on every call with that
+    name, and `scratch(shape)` a view of one flat buffer that grows to the
+    largest temporary asked of it; a scratch view is overwritten by the next
+    `scratch` call. The losses and gradients below take a Workspace as an
+    optional last argument; without one they return fresh arrays. Either
+    way they do the same IEEE operations on the same contiguous shapes, so
+    the results have the same bits.
+    """
+
+    def __init__(self):
+        self._named: dict[str, np.ndarray] = {}
+        self._flat = np.empty(0)
+
+    def named(self, name: str, shape) -> np.ndarray:
+        array = self._named.get(name)
+        if array is None or array.shape != shape:
+            array = self._named[name] = np.empty(shape)
+        return array
+
+    def scratch(self, shape) -> np.ndarray:
+        size = math.prod(shape)
+        if self._flat.size < size:
+            self._flat = None  # freed before its replacement is allocated
+            self._flat = np.empty(size)
+        return self._flat[:size].reshape(shape)
+
+
+def _named(buffers, name, shape):
+    return None if buffers is None else buffers.named(name, shape)
+
+
+def _scratch(buffers, shape):
+    return None if buffers is None else buffers.scratch(shape)
+
+
+def _square_sum(w, buffers) -> float:
+    return float(np.multiply(w, w, out=_scratch(buffers, w.shape)).sum())
+
+
+def _weight_grad(name, a, d, w, l2, buffers):
+    """a.T @ d + l2 * w, in the Workspace array `name` when there is one."""
+    g = np.matmul(a.T, d, out=_named(buffers, name, (a.shape[1], d.shape[1])))
+    return np.add(g, np.multiply(w, l2, out=_scratch(buffers, w.shape)), out=g)
+
+
+def autoencoder_loss(params, X, l2, buffers=None):
     """Mean squared reconstruction error over all entries plus L2 on both
     weight matrices (biases unregularized). Sigmoid encoder, linear decoder.
     Returns (loss, cache); the cache holds the forward pass for
-    `autoencoder_grads`."""
+    `autoencoder_grads`. With `buffers`, the reconstruction error in the
+    cache is the Workspace's array "err"."""
     we, be, wd, bd = params
     h = sigmoid(X @ we + be)
-    err = h @ wd + bd - X
+    err = np.matmul(h, wd, out=_named(buffers, "err", X.shape))
+    np.add(err, bd, out=err)
+    np.subtract(err, X, out=err)
     # zero-width inputs (access-denied datasets) have nothing to reconstruct
-    mse = 0.5 * float((err * err).mean()) if err.size else 0.0
-    reg = 0.5 * l2 * (float((we * we).sum()) + float((wd * wd).sum()))
+    squares = np.multiply(err, err, out=_scratch(buffers, err.shape))
+    mse = 0.5 * float(squares.mean()) if err.size else 0.0
+    reg = 0.5 * l2 * (_square_sum(we, buffers) + _square_sum(wd, buffers))
     return mse + reg, (h, err)
 
 
-def autoencoder_grads(params, X, l2, cache):
+def autoencoder_grads(params, X, l2, cache, buffers=None):
+    """Gradients from `autoencoder_loss`'s cache. The error in the cache is
+    scaled in place into the output derivative, so a cache serves one call."""
     we, be, wd, bd = params
     h, err = cache
     scale = 1.0 / X.size if X.size else 0.0
-    d_out = err * scale
-    g_wd = h.T @ d_out + l2 * wd
+    d_out = np.multiply(err, scale, out=err)
+    g_wd = _weight_grad("g_wd", h, d_out, wd, l2, buffers)
     g_bd = d_out.sum(axis=0)
     d_h = (d_out @ wd.T) * h * (1.0 - h)
-    g_we = X.T @ d_h + l2 * we
+    g_we = _weight_grad("g_we", X, d_h, we, l2, buffers)
     g_be = d_h.sum(axis=0)
     return [g_we, g_be, g_wd, g_bd]
 
@@ -79,20 +134,20 @@ def _cross_entropy(p, y_onehot) -> float:
     return -float(np.log(np.clip((p * y_onehot).sum(axis=1), 1e-300, None)).mean())
 
 
-def softmax_loss(params, H, y_onehot, l2):
+def softmax_loss(params, H, y_onehot, l2, buffers=None):
     """Cross-entropy plus L2 on the weights; returns (loss, cache)."""
     ws, bs = params
     p = softmax(H @ ws + bs)
-    return _cross_entropy(p, y_onehot) + 0.5 * l2 * float((ws * ws).sum()), p
+    return _cross_entropy(p, y_onehot) + 0.5 * l2 * _square_sum(ws, buffers), p
 
 
-def softmax_grads(params, H, y_onehot, l2, cache):
+def softmax_grads(params, H, y_onehot, l2, cache, buffers=None):
     ws, bs = params
     d_z = (cache - y_onehot) / H.shape[0]
-    return [H.T @ d_z + l2 * ws, d_z.sum(axis=0)]
+    return [_weight_grad("g_ws", H, d_z, ws, l2, buffers), d_z.sum(axis=0)]
 
 
-def stack_loss(params, X, y_onehot, l2):
+def stack_loss(params, X, y_onehot, l2, buffers=None):
     """Cross-entropy of the full encoder stack plus L2 on all three weight
     matrices. `params` is (W1, b1, W2, b2, Ws, bs). Returns (loss, cache)."""
     w1, b1, w2, b2, ws, bs = params
@@ -100,22 +155,22 @@ def stack_loss(params, X, y_onehot, l2):
     h2 = sigmoid(h1 @ w2 + b2)
     p = softmax(h2 @ ws + bs)
     reg = 0.5 * l2 * (
-        float((w1 * w1).sum()) + float((w2 * w2).sum()) + float((ws * ws).sum())
+        _square_sum(w1, buffers) + _square_sum(w2, buffers) + _square_sum(ws, buffers)
     )
     return _cross_entropy(p, y_onehot) + reg, (h1, h2, p)
 
 
-def stack_grads(params, X, y_onehot, l2, cache):
+def stack_grads(params, X, y_onehot, l2, cache, buffers=None):
     w1, b1, w2, b2, ws, bs = params
     h1, h2, p = cache
     d_z3 = (p - y_onehot) / X.shape[0]
-    g_ws = h2.T @ d_z3 + l2 * ws
+    g_ws = _weight_grad("g_ws", h2, d_z3, ws, l2, buffers)
     g_bs = d_z3.sum(axis=0)
     d_h2 = (d_z3 @ ws.T) * h2 * (1.0 - h2)
-    g_w2 = h1.T @ d_h2 + l2 * w2
+    g_w2 = _weight_grad("g_w2", h1, d_h2, w2, l2, buffers)
     g_b2 = d_h2.sum(axis=0)
     d_h1 = (d_h2 @ w2.T) * h1 * (1.0 - h1)
-    g_w1 = X.T @ d_h1 + l2 * w1
+    g_w1 = _weight_grad("g_w1", X, d_h1, w1, l2, buffers)
     g_b1 = d_h1.sum(axis=0)
     return [g_w1, g_b1, g_w2, g_b2, g_ws, g_bs]
 
@@ -131,11 +186,15 @@ def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
     Stops early once the rate underflows.
 
     The stage takes ownership of the arrays in the list `params`: it empties
-    the list and never writes to them, so the initial weights are freed once
-    the first step is accepted.
+    the list and writes into them. Each trial step is formed in a spare set
+    of weights (`g * lr`, then `p - that`, in place), and an accepted step
+    swaps the spare and the current set, so a stage allocates no weights
+    after its first step. The gradients must not share memory with the
+    weights, and a cache must not be needed after the next `loss_fn` call.
     """
     given, params = params, list(params)
     given.clear()
+    spare = [np.empty_like(p) for p in params]
     lr = learning_rate
     loss, cache = loss_fn(params)
     history = [loss]
@@ -144,18 +203,34 @@ def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
         if grads is None:
             grads = grad_fn(params, cache)
             cache = None  # the activations are not needed once the gradients exist
-        trial = [p - lr * g for p, g in zip(params, grads)]
-        new_loss, new_cache = loss_fn(trial)
+        for p, g, s in zip(params, grads, spare):
+            np.multiply(g, lr, out=s)
+            np.subtract(p, s, out=s)
+        new_loss, new_cache = loss_fn(spare)
         if new_loss <= loss:
-            params, loss, cache, grads = trial, new_loss, new_cache, None
+            params, spare = spare, params
+            loss, cache, grads = new_loss, new_cache, None
         else:
             lr *= 0.5
             if lr < _MIN_LEARNING_RATE:
                 break
-        # A rejected trial and its activations are dropped before the next one.
-        trial = new_cache = None
+        # A rejected trial's activations are dropped before the next one.
+        new_cache = None
         history.append(loss)
     return params, history
+
+
+def _stage(params, loss_fn, grad_fn, data, max_iterations, learning_rate):
+    """`descend` on `loss_fn(p, *data)` and `grad_fn(p, *data, cache)` with
+    one Workspace, which is freed when the stage returns."""
+    buffers = Workspace()
+    return descend(
+        params,
+        lambda p: loss_fn(p, *data, buffers),
+        lambda p, cache: grad_fn(p, *data, cache, buffers),
+        max_iterations,
+        learning_rate,
+    )
 
 
 class AutoencoderNetModel(Model):
@@ -213,11 +288,13 @@ def estimate_memory_mb(n_samples, n_features, hidden1, hidden2, n_classes) -> fl
 
     Held for the whole run: the weights of the finished autoencoder stages,
     and, while the first stage runs, the initial weights of the later ones
-    (each stage frees its own initial weights). A stage in `descend` holds
-    its current weights, their gradients and a trial step, plus the
-    temporary of the update being formed: 3.5 times its weights, counted for
+    (each stage reuses its own initial weights as its spare set). A stage
+    in `descend` holds its current weights, their gradients, the spare set
+    its trial steps are formed in, and its Workspace's scratch buffer, as
+    large as its largest weight matrix: 3.5 times its weights, counted for
     the largest stage. Activations: the input, the reconstruction error and
-    its derivative at input width, and a few layers of hidden activations.
+    room for its square and its derivative at input width, and a few layers
+    of hidden activations.
     """
     n, d, h1, h2, c = n_samples, n_features, hidden1, hidden2, n_classes
     initial = 2 * h1 * h2 + h2 * c
@@ -281,39 +358,30 @@ def train_net(
     ae2_init = [glorot_uniform(rng, h1, h2), np.zeros(h2), glorot_uniform(rng, h2, h1), np.zeros(h1)]
     sm_init = [glorot_uniform(rng, h2, n_classes), np.zeros(n_classes)]
 
-    ae1, hist1 = descend(
-        ae1_init,
-        lambda p: autoencoder_loss(p, X, l2_weight),
-        lambda p, cache: autoencoder_grads(p, X, l2_weight, cache),
-        max_iterations,
-        learning_rate,
+    ae1, hist1 = _stage(
+        ae1_init, autoencoder_loss, autoencoder_grads, (X, l2_weight), max_iterations, learning_rate
     )
     h1_act = sigmoid(X @ ae1[0] + ae1[1])
 
-    ae2, hist2 = descend(
-        ae2_init,
-        lambda p: autoencoder_loss(p, h1_act, l2_weight),
-        lambda p, cache: autoencoder_grads(p, h1_act, l2_weight, cache),
-        max_iterations,
+    ae2, hist2 = _stage(
+        ae2_init, autoencoder_loss, autoencoder_grads, (h1_act, l2_weight), max_iterations,
         learning_rate,
     )
     h2_act = sigmoid(h1_act @ ae2[0] + ae2[1])
 
     y_onehot = np.zeros((n, n_classes))
     y_onehot[np.arange(n), y] = 1.0
-    sm, hist3 = descend(
-        sm_init,
-        lambda p: softmax_loss(p, h2_act, y_onehot, l2_weight),
-        lambda p, cache: softmax_grads(p, h2_act, y_onehot, l2_weight, cache),
-        softmax_iterations,
+    sm, hist3 = _stage(
+        sm_init, softmax_loss, softmax_grads, (h2_act, y_onehot, l2_weight), softmax_iterations,
         learning_rate,
     )
 
-    stack, hist4 = descend(
-        [ae1[0], ae1[1], ae2[0], ae2[1], sm[0], sm[1]],
-        lambda p: stack_loss(p, X, y_onehot, l2_weight),
-        lambda p, cache: stack_grads(p, X, y_onehot, l2_weight, cache),
-        finetune_iterations,
+    # Fine-tuning writes into the encoders and the head it is handed; the
+    # decoders are dropped here, before it runs.
+    stack_init = [ae1[0], ae1[1], ae2[0], ae2[1], sm[0], sm[1]]
+    ae1 = ae2 = sm = h1_act = h2_act = None
+    stack, hist4 = _stage(
+        stack_init, stack_loss, stack_grads, (X, y_onehot, l2_weight), finetune_iterations,
         learning_rate,
     )
 

@@ -48,12 +48,18 @@ class PairSolution(tuple):
         return (*self, self.stats)
 
 
-def _augmented(X, y):
-    """X and y as float64, X with a constant 1 column, and the dual's Q."""
+def _with_ones(X):
+    """X with a constant 1 column, the augmented bias feature."""
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def _augmented(X, y, q=None):
+    """X and y as float64, X with a constant 1 column, and the dual's Q
+    (`q` when given)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    return X, y, xa, (xa @ xa.T) * np.outer(y, y)
+    xa = _with_ones(X)
+    return X, y, xa, ((xa @ xa.T) * np.outer(y, y) if q is None else q)
 
 
 def _violation(g, alpha, c) -> float:
@@ -73,7 +79,8 @@ def _solution(X, y, xa, c, alpha, q_alpha, path, steps) -> PairSolution:
     return PairSolution(w, b, alpha, dual, SolveStats(path, steps, violation))
 
 
-def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES):
+def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES,
+               q=None):
     """Solve one binary problem; X: (n, d) features, y: +/-1 labels.
 
     Returns a PairSolution, which unpacks as (w, b, alpha, dual_objective).
@@ -83,8 +90,12 @@ def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAU
     Otherwise `coordinate_ascent` solves the pair from scratch in at most
     `max_passes` passes, and the result with the smaller violation is
     returned (the active set's on a tie).
+
+    `q` is the dual's Q, (xa @ xa.T) * outer(y, y) for X with a constant 1
+    column appended; it is computed when not given. The fallback always
+    computes its own.
     """
-    X, y, xa, q = _augmented(X, y)
+    X, y, xa, q = _augmented(X, y, q)
     alpha, iterations = _active_set(q, c, tol, min(10 * (len(y) + 1), max_passes))
     solution = _solution(X, y, xa, c, alpha, q @ alpha, ACTIVE_SET, iterations)
     if solution.stats.violation < tol:
@@ -217,8 +228,7 @@ def dual_objective(alpha, X, y) -> float:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    v = xa.T @ (alpha * y)
+    v = _with_ones(X).T @ (alpha * y)
     return float(alpha.sum() - 0.5 * (v @ v))
 
 
@@ -325,13 +335,17 @@ def train_svm(
     X = train.feature_matrix()
     y = train.label_indices(classes)
     pairs = list(itertools.combinations(range(len(classes)), 2))
+    xa = _with_ones(X)
+    gram = xa @ xa.T  # one product for all pairs, sliced per pair
     weights = np.zeros((len(pairs), X.shape[1]))
     biases = np.zeros(len(pairs))
     stats = []
     for p, (ci, cj) in enumerate(pairs):
         mask = (y == ci) | (y == cj)
         labels = np.where(y[mask] == ci, 1.0, -1.0)  # +1 is the lower index
-        solution = solve_pair(X[mask], labels, c, tol=tol, max_passes=max_passes)
+        rows = np.flatnonzero(mask)
+        q = gram[np.ix_(rows, rows)] * np.outer(labels, labels)
+        solution = solve_pair(X[mask], labels, c, tol=tol, max_passes=max_passes, q=q)
         weights[p], biases[p] = solution[:2]
         stats.append(solution.stats)
     return LinearSvmModel(

@@ -261,7 +261,10 @@ def kfold(d: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
 
 
 def _format_row(m: Measurement) -> str:
+    """`label,feature_0,...`; a row with no features is its label alone."""
     x = m.features
+    if not x.size:
+        return m.label + "\n"
     # An integer below 1e9 in magnitude prints as `%.9g` prints it, but
     # faster; -0.0 is left to `%.9g`, which keeps its sign.
     if (np.abs(x) < 1e9).all() and (np.trunc(x) == x).all() and not np.signbit(x[x == 0]).any():
@@ -303,6 +306,9 @@ def _check_row(m: Measurement):
         raise DataError(f"label {m.label!r} contains a reserved character")
     if not np.isfinite(m.features).all():
         raise DataError(f"measurement labeled {m.label!r} has a non-finite feature")
+    # A row with no features is its label alone, and `load` skips empty lines.
+    if not m.label and not m.features.size:
+        raise DataError("a measurement with no features needs a non-empty label")
 
 
 def _write_atomic(path: str, lines):

@@ -10,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 
+from perfprint.classifiers.net import _MIN_LEARNING_RATE, _cross_entropy, sigmoid, softmax
+
 
 def knn_rank(train_x, train_y, n_classes, query, k):
     """Full class ranking for one query, mirroring the documented contract:
@@ -485,3 +487,162 @@ def reference_parse(path):
         if header.get(key) is not None:
             meta[key] = header[key]
     return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta), rows
+
+
+# -- reference copies of the net's training step ------------------------------
+# `descend` and the six losses and gradients of `perfprint.classifiers.net`
+# as they were when every step formed fresh arrays, copied verbatim but for
+# their names. They share with the package only its sigmoid, softmax and
+# cross-entropy (the sigmoid is pinned to `reference_sigmoid` above).
+
+
+def reference_autoencoder_loss(params, X, l2):
+    """Mean squared reconstruction error over all entries plus L2 on both
+    weight matrices (biases unregularized). Sigmoid encoder, linear decoder.
+    Returns (loss, cache); the cache holds the forward pass for
+    `reference_autoencoder_grads`."""
+    we, be, wd, bd = params
+    h = sigmoid(X @ we + be)
+    err = h @ wd + bd - X
+    # zero-width inputs (access-denied datasets) have nothing to reconstruct
+    mse = 0.5 * float((err * err).mean()) if err.size else 0.0
+    reg = 0.5 * l2 * (float((we * we).sum()) + float((wd * wd).sum()))
+    return mse + reg, (h, err)
+
+
+def reference_autoencoder_grads(params, X, l2, cache):
+    we, be, wd, bd = params
+    h, err = cache
+    scale = 1.0 / X.size if X.size else 0.0
+    d_out = err * scale
+    g_wd = h.T @ d_out + l2 * wd
+    g_bd = d_out.sum(axis=0)
+    d_h = (d_out @ wd.T) * h * (1.0 - h)
+    g_we = X.T @ d_h + l2 * we
+    g_be = d_h.sum(axis=0)
+    return [g_we, g_be, g_wd, g_bd]
+
+
+def reference_softmax_loss(params, H, y_onehot, l2):
+    """Cross-entropy plus L2 on the weights; returns (loss, cache)."""
+    ws, bs = params
+    p = softmax(H @ ws + bs)
+    return _cross_entropy(p, y_onehot) + 0.5 * l2 * float((ws * ws).sum()), p
+
+
+def reference_softmax_grads(params, H, y_onehot, l2, cache):
+    ws, bs = params
+    d_z = (cache - y_onehot) / H.shape[0]
+    return [H.T @ d_z + l2 * ws, d_z.sum(axis=0)]
+
+
+def reference_stack_loss(params, X, y_onehot, l2):
+    """Cross-entropy of the full encoder stack plus L2 on all three weight
+    matrices. `params` is (W1, b1, W2, b2, Ws, bs). Returns (loss, cache)."""
+    w1, b1, w2, b2, ws, bs = params
+    h1 = sigmoid(X @ w1 + b1)
+    h2 = sigmoid(h1 @ w2 + b2)
+    p = softmax(h2 @ ws + bs)
+    reg = 0.5 * l2 * (
+        float((w1 * w1).sum()) + float((w2 * w2).sum()) + float((ws * ws).sum())
+    )
+    return _cross_entropy(p, y_onehot) + reg, (h1, h2, p)
+
+
+def reference_stack_grads(params, X, y_onehot, l2, cache):
+    w1, b1, w2, b2, ws, bs = params
+    h1, h2, p = cache
+    d_z3 = (p - y_onehot) / X.shape[0]
+    g_ws = h2.T @ d_z3 + l2 * ws
+    g_bs = d_z3.sum(axis=0)
+    d_h2 = (d_z3 @ ws.T) * h2 * (1.0 - h2)
+    g_w2 = h1.T @ d_h2 + l2 * w2
+    g_b2 = d_h2.sum(axis=0)
+    d_h1 = (d_h2 @ w2.T) * h1 * (1.0 - h1)
+    g_w1 = X.T @ d_h1 + l2 * w1
+    g_b1 = d_h1.sum(axis=0)
+    return [g_w1, g_b1, g_w2, g_b2, g_ws, g_bs]
+
+
+def reference_descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
+    """Full-batch gradient descent with halving on loss increase.
+
+    `loss_fn(params)` returns (loss, cache) and `grad_fn(params, cache)` the
+    gradients from that cache, so each step runs one forward pass (the
+    trial's) and, after an accepted step, one backward pass. A step that
+    would raise the loss is rejected and the rate halved, keeping the
+    gradients already computed, so the returned history is non-increasing.
+    Stops early once the rate underflows.
+
+    The stage takes ownership of the arrays in the list `params`: it empties
+    the list and never writes to them, so the initial weights are freed once
+    the first step is accepted.
+    """
+    given, params = params, list(params)
+    given.clear()
+    lr = learning_rate
+    loss, cache = loss_fn(params)
+    history = [loss]
+    grads = None
+    for _ in range(max_iterations):
+        if grads is None:
+            grads = grad_fn(params, cache)
+            cache = None  # the activations are not needed once the gradients exist
+        trial = [p - lr * g for p, g in zip(params, grads)]
+        new_loss, new_cache = loss_fn(trial)
+        if new_loss <= loss:
+            params, loss, cache, grads = trial, new_loss, new_cache, None
+        else:
+            lr *= 0.5
+            if lr < _MIN_LEARNING_RATE:
+                break
+        # A rejected trial and its activations are dropped before the next one.
+        trial = new_cache = None
+        history.append(loss)
+    return params, history
+
+
+def reference_train_net(X, y, n_classes, seed, hidden1, hidden2, max_iterations,
+                        softmax_iterations, finetune_iterations, l2_weight, learning_rate):
+    """`train_net`'s four stages through the copies above; returns the
+    weights (w1, b1, w2, b2, ws, bs) and the four loss histories."""
+    rng = np.random.default_rng(seed)
+
+    def glorot(fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    n, d = X.shape
+    h1, h2 = hidden1, hidden2
+    ae1_init = [glorot(d, h1), np.zeros(h1), glorot(h1, d), np.zeros(d)]
+    ae2_init = [glorot(h1, h2), np.zeros(h2), glorot(h2, h1), np.zeros(h1)]
+    sm_init = [glorot(h2, n_classes), np.zeros(n_classes)]
+    ae1, hist1 = reference_descend(
+        ae1_init,
+        lambda p: reference_autoencoder_loss(p, X, l2_weight),
+        lambda p, cache: reference_autoencoder_grads(p, X, l2_weight, cache),
+        max_iterations, learning_rate,
+    )
+    h1_act = sigmoid(X @ ae1[0] + ae1[1])
+    ae2, hist2 = reference_descend(
+        ae2_init,
+        lambda p: reference_autoencoder_loss(p, h1_act, l2_weight),
+        lambda p, cache: reference_autoencoder_grads(p, h1_act, l2_weight, cache),
+        max_iterations, learning_rate,
+    )
+    h2_act = sigmoid(h1_act @ ae2[0] + ae2[1])
+    y_onehot = np.zeros((n, n_classes))
+    y_onehot[np.arange(n), y] = 1.0
+    sm, hist3 = reference_descend(
+        sm_init,
+        lambda p: reference_softmax_loss(p, h2_act, y_onehot, l2_weight),
+        lambda p, cache: reference_softmax_grads(p, h2_act, y_onehot, l2_weight, cache),
+        softmax_iterations, learning_rate,
+    )
+    stack, hist4 = reference_descend(
+        [ae1[0], ae1[1], ae2[0], ae2[1], sm[0], sm[1]],
+        lambda p: reference_stack_loss(p, X, y_onehot, l2_weight),
+        lambda p, cache: reference_stack_grads(p, X, y_onehot, l2_weight, cache),
+        finetune_iterations, learning_rate,
+    )
+    return stack, {"autoencoder1": hist1, "autoencoder2": hist2, "softmax": hist3, "finetune": hist4}

@@ -18,7 +18,7 @@ from perfprint.classifiers.net import (
 from perfprint.errors import ConfigError
 
 from helpers import random_dataset
-from oracles import finite_difference_grads, reference_sigmoid
+from oracles import finite_difference_grads, reference_sigmoid, reference_train_net
 
 
 def _relative_errors(analytic, numeric):
@@ -201,3 +201,42 @@ def test_sigmoid_matches_the_masked_reference_bit_for_bit():
     z = np.concatenate([edges, rng.normal(scale=30.0, size=4000)]).reshape(-1, 4)
     assert np.signbit(z[3, 3]) and not np.signbit(z[3, 2])  # both nan signs are covered
     assert sigmoid(z).view(np.uint64).tolist() == reference_sigmoid(z).view(np.uint64).tolist()
+
+
+
+REFERENCE_CASES = {  # classes, rows per class, width, hidden1, hidden2, iterations, rate
+    "small": (3, 6, 40, 16, 8, 30, 0.1),
+    # hidden2 > hidden1: the second autoencoder's largest temporary is its error
+    "wide": (4, 10, 500, 20, 200, 6, 0.1),
+    "rejected-steps": (3, 8, 60, None, None, 40, 50.0),  # the rate overshoots
+    # a nan feature makes every trial's loss nan, so each stage halves its
+    # rate until it underflows
+    "rate-underflow": (2, 5, 7, 3, 2, 80, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_training_matches_the_fresh_array_reference_bit_for_bit(case):
+    n_classes, per_class, width, hidden1, hidden2, iterations, rate = REFERENCE_CASES[case]
+    d = random_dataset(np.random.default_rng(52), n_classes, per_class, width)
+    if case == "rate-underflow":
+        d = d.with_features(np.where(np.arange(width) == 3, np.nan, d.feature_matrix()))
+    model = train_net(d, seed=4, hidden1=hidden1, hidden2=hidden2, max_iterations=iterations,
+                      softmax_iterations=iterations + 5, finetune_iterations=iterations - 2,
+                      learning_rate=rate)
+    h = model.hyperparams
+    weights, history = reference_train_net(
+        d.feature_matrix(), d.label_indices(), n_classes, 4, h["hidden1"], h["hidden2"],
+        iterations, iterations + 5, iterations - 2, h["l2_weight"], rate)
+    assert [model.weights[k].tobytes() for k in ("w1", "b1", "w2", "b2", "ws", "bs")] == [
+        w.tobytes() for w in weights]
+    assert model.loss_history.keys() == history.keys()
+    for stage, losses in history.items():
+        assert np.array(model.loss_history[stage]).tobytes() == np.array(losses).tobytes()
+    lengths = [len(losses) for losses in history.values()]
+    if case == "rate-underflow":
+        assert all(n < iterations - 1 for n in lengths)
+    else:
+        assert lengths == [iterations + 1, iterations + 1, iterations + 6, iterations - 1]
+    if case == "rejected-steps":  # a rejected step repeats the loss it kept
+        assert any(a == b for losses in history.values() for a, b in zip(losses, losses[1:]))

@@ -433,3 +433,28 @@ def test_non_finite_features_are_refused(tmp_path, value):
         dataset.load(str(path))
     with pytest.raises(DataError, match=f"^{path}: line 3 "):
         dataset.append_measurement(str(path), Measurement(label="c", features=[1.0, 2.0]))
+
+
+def test_zero_width_datasets_round_trip(tmp_path):
+    # The deny policy's datasets: every row keeps its label and meta, no features.
+    rows = [Measurement(label=label, features=np.zeros(0), meta={"visit": i})
+            for i, label in enumerate(["a", "b", "a"])]
+    saved, appended = tmp_path / "saved.csv", tmp_path / "appended.csv"
+    dataset.save(Dataset(measurements=tuple(rows), meta={"scenario": "deny"}), str(saved))
+    for m in rows:
+        dataset.append_measurement(str(appended), m, dataset_meta={"scenario": "deny"})
+    assert appended.read_bytes() == saved.read_bytes()
+    assert saved.read_text().splitlines()[1:] == ["a", "b", "a"]
+    loaded = dataset.load(str(saved))
+    assert loaded.labels() == ["a", "b", "a"] and loaded.feature_length == 0
+    assert [m.meta for m in loaded.measurements] == [{"visit": i} for i in range(3)]
+    assert loaded.meta == {"scenario": "deny"}
+
+    with pytest.raises(DataError, match="cannot append 1"):
+        dataset.append_measurement(str(saved), Measurement(label="a", features=[1.0]))
+    with pytest.raises(DataError, match="non-empty label"):
+        dataset.append_measurement(str(saved), Measurement(label="", features=np.zeros(0)))
+    assert saved.read_bytes() == appended.read_bytes()
+    saved.write_text(saved.read_text() + "b,\n")  # a trailing comma is one empty feature
+    with pytest.raises(DataError, match="line 5 \\(label 'b'\\): expected 0 features, found 1"):
+        dataset.load(str(saved))

@@ -88,8 +88,13 @@ def _outcome(parse, path):
             rows)
 
 
+ZERO_WIDTH = '{"format":"perfprint-dataset","version":1,"feature_length":0}\n'
+
+
 @PROPERTY
 @given(dataset_files())
+@example((ZERO_WIDTH + "a\nb\n", {}))  # zero-width rows as `save` writes them
+@example((ZERO_WIDTH + "a,\nb\n", {}))  # a trailing comma is one empty feature
 def test_bulk_parse_loads_what_the_per_line_parser_loads(file):
     text, header = file
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,4 +160,4 @@ FORMAT_EDGES = [1e9 - 1, -(1e9 - 1), 1e9, -1e9, 0.0, -0.0, 2.0**53, -(2.0**53), 
 @example([1.0, 2.0, 999999999.0])
 def test_format_row_writes_what_percent_9g_writes(values):
     row = dataset._format_row(Measurement(label="a", features=values))
-    assert row == "a," + ",".join("%.9g" % v for v in values) + "\n"
+    assert row == ",".join(["a"] + ["%.9g" % v for v in values]) + "\n"

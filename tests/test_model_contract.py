@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from perfprint.classifiers import load_model, make_trainer, save_model
+from perfprint.classifiers import io, load_model, make_trainer, save_model
+from perfprint.dataset import write_json
 from perfprint.errors import DataError
 
-from helpers import random_dataset
+from helpers import build_dataset, random_dataset
 
 KINDS_AND_PARAMS = [
     ("knn", {"k": 3}),
@@ -95,6 +96,32 @@ def test_resaving_a_loaded_model_gives_the_same_bytes(toy, tmp_path, kind, param
     loaded = load_model(str(first))
     save_model(loaded, str(second), provenance=loaded.provenance)
     assert first.read_bytes() == second.read_bytes()
+
+
+# Text JSON escapes: a quote, a backslash, non-ASCII, a line separator and a
+# control character.
+ODD_TEXT = ['quo"te', "back\\slash", "é ü 漢", "line\u2028sep", "ctrl\x01"]
+
+
+@pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
+def test_save_model_writes_the_bytes_write_json_writes(toy, tmp_path, kind, params):
+    d, _ = toy
+    labels = [ODD_TEXT[i % 4] for i in range(len(d))]
+    model = make_trainer(kind, **params)(build_dataset(d.feature_matrix(), labels))
+    provenance = {"train_data": ODD_TEXT, "rows": [1.5, None, True, -0.0], ODD_TEXT[4]: {}}
+    save_model(model, str(tmp_path / "saved.json"), provenance=provenance)
+    write_json(str(tmp_path / "written.json"), {
+        "format": io.FILE_FORMAT,
+        "version": io.FILE_VERSION,
+        "kind": model.kind,
+        "classes": model.classes,
+        "seed": model.seed,
+        "hyperparams": model.hyperparams,
+        "provenance": provenance,
+        "payload": model.to_payload(),
+    })
+    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "written.json").read_bytes()
+    assert load_model(str(tmp_path / "saved.json")).classes == sorted(set(labels))
 
 
 def test_failed_save_leaves_the_old_model_file(toy, tmp_path, monkeypatch):
