@@ -5,8 +5,8 @@ Each class pair gets a linear soft-margin classifier minimizing
 feature (so it is regularized too, and the dual has simple box constraints
 only). Each pair's dual, min 0.5*a'Qa - sum(a) over 0 <= a <= C, is solved
 by a primal active-set method whose result is certified against `tol`;
-when it cannot be certified, deterministic dual coordinate ascent solves
-the pair too, and the result with the smaller violation is kept.
+a pair it cannot certify within its iteration cap keeps the result it
+reached, and its stats say by how much it misses tol.
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ from .base import Model, _decode, _encode, check_trainable
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
-ACTIVE_SET, SWEEP = "active-set", "sweep"
 
 
 class SolveStats(NamedTuple):
-    """How one pair was solved: `path` is ACTIVE_SET or SWEEP, `steps` the
-    active-set iterations or sweep passes, `violation` the largest
-    projected-gradient entry of the returned alpha."""
+    """How one pair was solved: `steps` the active-set iterations,
+    `violation` the largest projected-gradient entry of the returned
+    alpha."""
 
-    path: str
     steps: int
     violation: float
 
@@ -53,30 +51,10 @@ def _with_ones(X):
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def _augmented(X, y, q=None):
-    """X and y as float64, X with a constant 1 column, and the dual's Q
-    (`q` when given)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    xa = _with_ones(X)
-    return X, y, xa, ((xa @ xa.T) * np.outer(y, y) if q is None else q)
-
-
 def _violation(g, alpha, c) -> float:
     """The largest projected-gradient entry for gradient g = Q @ alpha - 1."""
     pg = np.where(alpha <= 0.0, np.minimum(g, 0.0), np.where(alpha >= c, np.maximum(g, 0.0), g))
     return float(np.max(np.abs(pg), initial=0.0))
-
-
-def _solution(X, y, xa, c, alpha, q_alpha, path, steps) -> PairSolution:
-    """w, b and the dual for alpha. The violation is the larger of the one
-    from q_alpha and the one from the returned w and b, so a result below
-    tol is below it however the gradient is recomputed."""
-    w_aug = xa.T @ (alpha * y)
-    w, b = w_aug[:-1], float(w_aug[-1])
-    dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
-    violation = max(_violation(q_alpha - 1.0, alpha, c), _violation(y * (X @ w + b) - 1.0, alpha, c))
-    return PairSolution(w, b, alpha, dual, SolveStats(path, steps, violation))
 
 
 def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES,
@@ -84,23 +62,29 @@ def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAU
     """Solve one binary problem; X: (n, d) features, y: +/-1 labels.
 
     Returns a PairSolution, which unpacks as (w, b, alpha, dual_objective).
-    The active-set method runs first, for at most min(10 * (n + 1),
-    max_passes) iterations; its alpha is returned when every
-    projected-gradient entry, recomputed from the result, is below `tol`.
-    Otherwise `coordinate_ascent` solves the pair from scratch in at most
-    `max_passes` passes, and the result with the smaller violation is
-    returned (the active set's on a tie).
+    The active-set method runs for at most min(10 * (n + 1), max_passes)
+    iterations; the pair is certified when every projected-gradient entry,
+    recomputed from the result, is below `tol`. An uncertified pair keeps
+    the alpha the solver stopped at; its stats give the violation.
 
     `q` is the dual's Q, (xa @ xa.T) * outer(y, y) for X with a constant 1
-    column appended; it is computed when not given. The fallback always
-    computes its own.
+    column appended; it is computed when not given.
     """
-    X, y, xa, q = _augmented(X, y, q)
-    alpha, iterations = _active_set(q, c, tol, min(10 * (len(y) + 1), max_passes))
-    solution = _solution(X, y, xa, c, alpha, q @ alpha, ACTIVE_SET, iterations)
-    if solution.stats.violation < tol:
-        return solution
-    return min(solution, coordinate_ascent(X, y, c, tol, max_passes), key=lambda s: s.stats.violation)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    xa = _with_ones(X)
+    if q is None:
+        q = (xa @ xa.T) * np.outer(y, y)
+    alpha, steps = _active_set(q, c, tol, min(10 * (len(y) + 1), max_passes))
+    q_alpha = q @ alpha
+    w_aug = xa.T @ (alpha * y)
+    w, b = w_aug[:-1], float(w_aug[-1])
+    dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
+    # The larger of the violations from Q @ alpha and from the returned w
+    # and b, so a result below tol is below it however the gradient is
+    # recomputed.
+    violation = max(_violation(q_alpha - 1.0, alpha, c), _violation(y * (X @ w + b) - 1.0, alpha, c))
+    return PairSolution(w, b, alpha, dual, SolveStats(steps, violation))
 
 
 def _newton_direction(q_ff, g_f):
@@ -176,62 +160,6 @@ def _active_set(q, c, tol, max_iterations):
     return alpha, iteration
 
 
-def coordinate_ascent(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES):
-    """Dual coordinate ascent for one binary problem, the fallback of
-    `solve_pair`; returns a PairSolution.
-
-    Coordinates are visited in fixed index order; the solver stops when the
-    largest projected-gradient violation seen during a full pass drops
-    below `tol` or after `max_passes` passes. That test looks at each
-    coordinate before its own update, so the returned alpha may still
-    break tol (its stats say by how much).
-    """
-    X, y, xa, q = _augmented(X, y)
-    n = X.shape[0]
-    # The sweep reads and writes single coordinates, so alpha and the
-    # diagonal are Python floats (the same IEEE doubles, without numpy's
-    # per-scalar overhead); only the running Q @ alpha stays a vector.
-    q_rows = list(q)
-    q_diag = np.diag(q).tolist()
-    alpha = [0.0] * n
-    q_alpha = np.zeros(n)  # running Q @ alpha
-
-    passes = 0
-    for passes in range(1, max_passes + 1):
-        worst = 0.0
-        for i in range(n):
-            g = q_alpha.item(i) - 1.0
-            a = alpha[i]
-            if a <= 0.0:
-                pg = min(g, 0.0)
-            elif a >= c:
-                pg = max(g, 0.0)
-            else:
-                pg = g
-            if abs(pg) > worst:
-                worst = abs(pg)
-            if abs(pg) > 1e-14:
-                new_a = min(max(a - g / q_diag[i], 0.0), c)
-                delta = new_a - a
-                if delta != 0.0:
-                    alpha[i] = new_a
-                    q_alpha += delta * q_rows[i]
-        if worst < tol:
-            break
-
-    alpha = np.array(alpha, dtype=np.float64)
-    return _solution(X, y, xa, c, alpha, q_alpha, SWEEP, passes)
-
-
-def dual_objective(alpha, X, y) -> float:
-    """Dual objective for given multipliers; used by oracle comparisons."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    v = _with_ones(X).T @ (alpha * y)
-    return float(alpha.sum() - 0.5 * (v @ v))
-
-
 class LinearSvmModel(Model):
     kind = "svm"
 
@@ -286,14 +214,13 @@ class LinearSvmModel(Model):
         return cls(classes, pairs, weights, biases, hyperparams=hyperparams, seed=seed)
 
     def solve_summary(self) -> str:
-        """How training solved the pairs: how many each path solved, and
-        how many ended uncertified within max_passes."""
-        paths = [s.path for s in self.solve_stats]
+        """How training solved the pairs: how many were certified against
+        tol, and how many ended uncertified within max_passes."""
         tol, max_passes = self.hyperparams["tol"], self.hyperparams["max_passes"]
         capped = sum(s.violation >= tol for s in self.solve_stats)
         return (
-            f"svm pairs: {paths.count(ACTIVE_SET)} by active set, {paths.count(SWEEP)} by sweep, "
-            f"{capped} uncertified at max_passes {max_passes} (tol {tol:g})"
+            f"svm pairs: {len(self.solve_stats) - capped} certified, {capped} uncertified "
+            f"at max_passes {max_passes} (tol {tol:g})"
         )
 
     def _vote_scores(self, X: np.ndarray):

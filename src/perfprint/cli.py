@@ -41,10 +41,13 @@ def _load_scenario(spec: str):
         try:
             with open(spec) as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{spec}: malformed scenario file: {exc}") from exc
+        except (OSError, RecursionError, ValueError) as exc:  # also bad JSON or UTF-8
+            raise DataError(f"{spec}: cannot read scenario file: {exc}") from exc
         config = events.config_from_dict(data)
-        return config, data.get("target_process_pattern"), data.get("name", spec)
+        pattern, name = data.get("target_process_pattern"), data.get("name", spec)
+        if not isinstance(name, str) or not isinstance(pattern, (str, type(None))):
+            raise ConfigError(f"{spec}: name and target_process_pattern must be strings")
+        return config, pattern, name
     raise ConfigError(
         f"unknown scenario {spec!r}: not a preset "
         f"({', '.join(events.SCENARIO_NAMES)}) and no such file"
@@ -64,8 +67,8 @@ _MODEL_FLAGS = {
         ("--C", "c", float, 1.0, "SVM regularization"),
         ("--tol", "tol", float, classifiers.svm.DEFAULT_TOL, None),
         ("--max-passes", "max_passes", int, classifiers.svm.DEFAULT_MAX_PASSES,
-         "caps each SVM pair's active-set iterations, and the passes of the coordinate sweep "
-         "run when the active set cannot certify the pair"),
+         "caps each SVM pair's active-set iterations at min(10*(n+1), this); a pair not "
+         "certified within the cap keeps its result and is reported as uncertified"),
     ],
     "net": [
         ("--train-seed", "seed", int, 0, None),

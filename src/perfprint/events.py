@@ -112,8 +112,8 @@ class CollectorConfig:
         names = [e.event_name for e in self.events]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate event names in config: {names}")
-        if self.duration_s <= 0:
-            raise ConfigError(f"duration must be > 0 s, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError(f"duration must be finite and > 0 s, got {self.duration_s}")
         if self.read_interval_us <= 0:
             raise ConfigError(
                 f"read interval must be > 0 us, got {self.read_interval_us}"
@@ -235,5 +235,7 @@ def config_from_dict(data: dict) -> CollectorConfig:
             duration_s=float(data["duration_s"]),
             read_interval_us=int(data.get("read_interval_us", DEFAULT_READ_INTERVAL_US)),
         )
-    except (KeyError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed collector config: {exc}") from exc

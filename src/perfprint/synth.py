@@ -37,10 +37,18 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("additive_sigma", "max_shift", "amplitude_jitter", "background_floor"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:  # nan fails too
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.max_shift >= 0.5:
             raise ConfigError(f"max_shift must be < 0.5, got {self.max_shift}")
+        # The generator's own limits: a jitter range wider than the largest
+        # double, a Poisson mean near 2**63.
+        probe = np.random.default_rng(0)
+        try:
+            probe.uniform(1.0 - self.amplitude_jitter, 1.0 + self.amplitude_jitter, size=0)
+            probe.poisson(self.background_floor, size=0)
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"noise model beyond the generator's range: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,10 @@ def reference_best_split(X, y, n_classes, min_leaf=1, chunk=128):
 
 
 def reference_solve_pair(X, y, c, tol, max_passes):
-    """The SVM pair solver's coordinate sweep on numpy arrays and scalars,
-    as it was before the sweep moved to Python floats."""
+    """Dual coordinate ascent for one SVM pair, a solver independent of the
+    package's active-set method. Coordinates are visited in index order; it
+    stops when no projected-gradient entry seen during a full pass reaches
+    tol, or after max_passes passes. Returns (w, b, alpha, dual)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
@@ -210,6 +212,16 @@ def reference_solve_pair(X, y, c, tol, max_passes):
     w_aug = xa.T @ (alpha * y)
     dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
     return w_aug[:-1], float(w_aug[-1]), alpha, dual
+
+
+def dual_objective(alpha, X, y):
+    """The SVM pair dual sum(alpha) - 0.5 * ||Xa' (alpha * y)||^2, for Xa
+    the features with a constant 1 column appended."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    v = np.hstack([X, np.ones((X.shape[0], 1))]).T @ (alpha * y)
+    return float(alpha.sum() - 0.5 * (v @ v))
 
 
 # -- reference copies of the per-row dataset transforms -----------------------

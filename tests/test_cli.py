@@ -50,6 +50,27 @@ def test_synth_rejects_zero_measurements(tmp_path, capsys):
     assert "n_per_class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--noise-floor", "1e20"), ("--noise-floor", "inf"), ("--noise-jitter", "inf"), ("--noise-shift", "nan"),
+])
+def test_synth_rejects_noise_it_cannot_draw(tmp_path, capsys, flag, value):
+    assert run("synth", "--classes", 2, "--per-class", 1, flag, value, "--out", tmp_path / "x.csv") == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("raw, code", [
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": "abc"}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": 1e999}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": "x"}, "duration_s": 1}', 2),
+    (b'{"events": ["instructions\xff"]}', 3),
+], ids=["duration-abc", "duration-1e999", "cpu-x", "not-utf8"])
+def test_malformed_scenario_file_exits_with_an_error_line(tmp_path, capsys, raw, code):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(raw)
+    assert run("collect", "--scenario", scenario, "--label", "x", "--out", tmp_path / "t.csv") == code
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_scenario_exits_with_config_error(tmp_path, capsys):
     code = run("collect", "--scenario", "bogus", "--label", "x", "--out", tmp_path / "t.csv")
     assert code == 2
@@ -249,15 +270,12 @@ def test_train_svm_prints_how_the_pairs_were_solved(tmp_path, capsys):
     assert run(*synth_args(full, classes=3, per_class=4, samples=20)) == 0
     assert run("train", "--data", full, "--kind", "svm", "--out", model) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
-    assert summary == "svm pairs: 3 by active set, 0 by sweep, 0 uncertified at max_passes 1000 (tol 0.001)"
-    # No alpha is certified at tol 0, so every pair runs both paths to the cap.
+    assert summary == "svm pairs: 3 certified, 0 uncertified at max_passes 1000 (tol 0.001)"
+    # No alpha is certified at tol 0, so every pair runs to the cap.
     assert run("train", "--data", full, "--kind", "svm", "--tol", 0, "--max-passes", 4,
                "--out", model) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
-    by_path = re.fullmatch(
-        r"svm pairs: (\d) by active set, (\d) by sweep, 3 uncertified at max_passes 4 \(tol 0\)", summary
-    )
-    assert by_path and int(by_path[1]) + int(by_path[2]) == 3
+    assert summary == "svm pairs: 0 certified, 3 uncertified at max_passes 4 (tol 0)"
 
 
 def _drop_classes(doc):

@@ -129,3 +129,8 @@ def test_config_from_dict_rejects_garbage():
         events.config_from_dict(
             {"events": ["instructions"], "scope": {"type": "socket"}, "duration_s": 1}
         )
+    for cpu, duration in [(0, "abc"), (0, float("inf")), (0, float("nan")), ("x", 1)]:
+        with pytest.raises(ConfigError):
+            events.config_from_dict(
+                {"events": ["instructions"], "scope": {"type": "core", "cpu": cpu}, "duration_s": duration}
+            )

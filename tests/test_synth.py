@@ -127,6 +127,12 @@ def test_invalid_parameters_rejected():
         NoiseModel(additive_sigma=-0.1)
     with pytest.raises(ConfigError):
         NoiseModel(max_shift=0.5)
+    # Non-finite values, and what the generator cannot draw from.
+    for field, value in [("additive_sigma", np.nan), ("max_shift", np.nan), ("amplitude_jitter", np.inf),
+                         ("amplitude_jitter", 9e307), ("background_floor", np.inf),
+                         ("background_floor", 1e20)]:
+        with pytest.raises(ConfigError):
+            NoiseModel(**{field: value})
     with pytest.raises(ConfigError):
         gen_profiles(0, 1, 100, seed=0)
     with pytest.raises(ConfigError):
