@@ -23,13 +23,10 @@ from ..errors import DataError
 class Model:
     kind = "base"
 
-    def __init__(self, classes, seed=None, hyperparams=None, train_seconds=0.0):
+    def __init__(self, classes, seed=None, hyperparams=None):
         self.classes = list(classes)
         self.seed = seed
         self.hyperparams = dict(hyperparams or {})
-        # Wall time is informational only; it is never serialized, so model
-        # files stay byte-identical across reruns.
-        self.train_seconds = train_seconds
 
     @property
     def n_classes(self) -> int:

@@ -3,9 +3,8 @@
 The envelope holds the format, version, kind, classes, seed, hyperparameters
 and provenance; the payload is written and read by the model class of that
 kind (`to_payload`, `from_payload`). Array payloads are little-endian 64-bit
-floats, so files written on one machine load anywhere. Wall-clock training
-time is deliberately left out of the file; identical training runs must
-produce identical bytes.
+floats, so files written on one machine load anywhere. The file holds no
+wall-clock time, so identical training runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def load_model(path: str):
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8 text
+    except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise DataError(f"{path}: malformed model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FILE_FORMAT:
         raise DataError(f"{path}: not a {FILE_FORMAT} file")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..errors import ConfigError, DataError
@@ -13,10 +11,8 @@ from .base import Model, _decode, _encode, check_trainable
 class KnnModel(Model):
     kind = "knn"
 
-    def __init__(self, classes, train_x, train_y, k, seed=None, train_seconds=0.0):
-        super().__init__(
-            classes, seed=seed, hyperparams={"k": int(k)}, train_seconds=train_seconds
-        )
+    def __init__(self, classes, train_x, train_y, k, seed=None):
+        super().__init__(classes, seed=seed, hyperparams={"k": int(k)})
         # A read-only view, so the squared norms cached from it cannot go
         # stale; the norms are derived state and never saved.
         self.train_x = np.asarray(train_x, dtype=np.float64).view()
@@ -86,7 +82,7 @@ class KnnModel(Model):
         return out
 
 
-def train_knn(train, k: int = 1, seed=None) -> KnnModel:
+def train_knn(train, k: int = 1) -> KnnModel:
     """Store the training set verbatim; k defaults to the single nearest
     neighbor."""
     check_trainable(train)
@@ -94,14 +90,10 @@ def train_knn(train, k: int = 1, seed=None) -> KnnModel:
         raise ConfigError(f"k must be >= 1, got {k}")
     if k > len(train):
         raise ConfigError(f"k={k} exceeds training set size {len(train)}")
-    t0 = time.perf_counter()
     classes = train.classes
-    model = KnnModel(
+    return KnnModel(
         classes=classes,
         train_x=train.feature_matrix(),
         train_y=train.label_indices(classes),
         k=k,
-        seed=seed,
-        train_seconds=time.perf_counter() - t0,
     )
-    return model

@@ -11,7 +11,6 @@ non-increasing and training is bit-reproducible from the seed.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -55,10 +54,10 @@ class Workspace:
     `named(name, shape)` returns the same array on every call with that
     name, and `scratch(shape)` a view of one flat buffer that grows to the
     largest temporary asked of it; a scratch view is overwritten by the next
-    `scratch` call. The losses and gradients below take a Workspace as an
-    optional last argument; without one they return fresh arrays. Either
-    way they do the same IEEE operations on the same contiguous shapes, so
-    the results have the same bits.
+    `scratch` call. The losses and gradients below take their stage's
+    Workspace as their last argument. They do the same IEEE operations on
+    the same contiguous shapes as fresh arrays would, so the results have
+    the same bits.
     """
 
     def __init__(self):
@@ -79,43 +78,35 @@ class Workspace:
         return self._flat[:size].reshape(shape)
 
 
-def _named(buffers, name, shape):
-    return None if buffers is None else buffers.named(name, shape)
-
-
-def _scratch(buffers, shape):
-    return None if buffers is None else buffers.scratch(shape)
-
-
 def _square_sum(w, buffers) -> float:
-    return float(np.multiply(w, w, out=_scratch(buffers, w.shape)).sum())
+    return float(np.multiply(w, w, out=buffers.scratch(w.shape)).sum())
 
 
 def _weight_grad(name, a, d, w, l2, buffers):
-    """a.T @ d + l2 * w, in the Workspace array `name` when there is one."""
-    g = np.matmul(a.T, d, out=_named(buffers, name, (a.shape[1], d.shape[1])))
-    return np.add(g, np.multiply(w, l2, out=_scratch(buffers, w.shape)), out=g)
+    """a.T @ d + l2 * w, in the Workspace array `name`."""
+    g = np.matmul(a.T, d, out=buffers.named(name, (a.shape[1], d.shape[1])))
+    return np.add(g, np.multiply(w, l2, out=buffers.scratch(w.shape)), out=g)
 
 
-def autoencoder_loss(params, X, l2, buffers=None):
+def autoencoder_loss(params, X, l2, buffers):
     """Mean squared reconstruction error over all entries plus L2 on both
     weight matrices (biases unregularized). Sigmoid encoder, linear decoder.
     Returns (loss, cache); the cache holds the forward pass for
-    `autoencoder_grads`. With `buffers`, the reconstruction error in the
-    cache is the Workspace's array "err"."""
+    `autoencoder_grads`, its reconstruction error in the Workspace's array
+    "err"."""
     we, be, wd, bd = params
     h = sigmoid(X @ we + be)
-    err = np.matmul(h, wd, out=_named(buffers, "err", X.shape))
+    err = np.matmul(h, wd, out=buffers.named("err", X.shape))
     np.add(err, bd, out=err)
     np.subtract(err, X, out=err)
     # zero-width inputs (access-denied datasets) have nothing to reconstruct
-    squares = np.multiply(err, err, out=_scratch(buffers, err.shape))
+    squares = np.multiply(err, err, out=buffers.scratch(err.shape))
     mse = 0.5 * float(squares.mean()) if err.size else 0.0
     reg = 0.5 * l2 * (_square_sum(we, buffers) + _square_sum(wd, buffers))
     return mse + reg, (h, err)
 
 
-def autoencoder_grads(params, X, l2, cache, buffers=None):
+def autoencoder_grads(params, X, l2, cache, buffers):
     """Gradients from `autoencoder_loss`'s cache. The error in the cache is
     scaled in place into the output derivative, so a cache serves one call."""
     we, be, wd, bd = params
@@ -134,20 +125,20 @@ def _cross_entropy(p, y_onehot) -> float:
     return -float(np.log(np.clip((p * y_onehot).sum(axis=1), 1e-300, None)).mean())
 
 
-def softmax_loss(params, H, y_onehot, l2, buffers=None):
+def softmax_loss(params, H, y_onehot, l2, buffers):
     """Cross-entropy plus L2 on the weights; returns (loss, cache)."""
     ws, bs = params
     p = softmax(H @ ws + bs)
     return _cross_entropy(p, y_onehot) + 0.5 * l2 * _square_sum(ws, buffers), p
 
 
-def softmax_grads(params, H, y_onehot, l2, cache, buffers=None):
+def softmax_grads(params, H, y_onehot, l2, cache, buffers):
     ws, bs = params
     d_z = (cache - y_onehot) / H.shape[0]
     return [_weight_grad("g_ws", H, d_z, ws, l2, buffers), d_z.sum(axis=0)]
 
 
-def stack_loss(params, X, y_onehot, l2, buffers=None):
+def stack_loss(params, X, y_onehot, l2, buffers):
     """Cross-entropy of the full encoder stack plus L2 on all three weight
     matrices. `params` is (W1, b1, W2, b2, Ws, bs). Returns (loss, cache)."""
     w1, b1, w2, b2, ws, bs = params
@@ -160,7 +151,7 @@ def stack_loss(params, X, y_onehot, l2, buffers=None):
     return _cross_entropy(p, y_onehot) + reg, (h1, h2, p)
 
 
-def stack_grads(params, X, y_onehot, l2, cache, buffers=None):
+def stack_grads(params, X, y_onehot, l2, cache, buffers):
     w1, b1, w2, b2, ws, bs = params
     h1, h2, p = cache
     d_z3 = (p - y_onehot) / X.shape[0]
@@ -183,7 +174,8 @@ def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
     trial's) and, after an accepted step, one backward pass. A step that
     would raise the loss is rejected and the rate halved, keeping the
     gradients already computed, so the returned history is non-increasing.
-    Stops early once the rate underflows.
+    Stops early once the rate underflows. A first loss that is not finite
+    raises DataError, since no step could be judged against it.
 
     The stage takes ownership of the arrays in the list `params`: it empties
     the list and writes into them. Each trial step is formed in a spare set
@@ -197,6 +189,8 @@ def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
     spare = [np.empty_like(p) for p in params]
     lr = learning_rate
     loss, cache = loss_fn(params)
+    if not math.isfinite(loss):
+        raise DataError(f"the initial loss is {loss}")
     history = [loss]
     grads = None
     for _ in range(max_iterations):
@@ -220,28 +214,28 @@ def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
     return params, history
 
 
-def _stage(params, loss_fn, grad_fn, data, max_iterations, learning_rate):
+def _stage(name, params, loss_fn, grad_fn, data, max_iterations, learning_rate):
     """`descend` on `loss_fn(p, *data)` and `grad_fn(p, *data, cache)` with
     one Workspace, which is freed when the stage returns."""
     buffers = Workspace()
-    return descend(
-        params,
-        lambda p: loss_fn(p, *data, buffers),
-        lambda p, cache: grad_fn(p, *data, cache, buffers),
-        max_iterations,
-        learning_rate,
-    )
+    try:
+        return descend(
+            params,
+            lambda p: loss_fn(p, *data, buffers),
+            lambda p, cache: grad_fn(p, *data, cache, buffers),
+            max_iterations,
+            learning_rate,
+        )
+    except DataError as exc:
+        raise DataError(f"net stage {name}: {exc}; the features must be finite and small "
+                        "enough that their squares are") from None
 
 
 class AutoencoderNetModel(Model):
     kind = "net"
 
-    def __init__(
-        self, classes, weights, hyperparams=None, seed=None, train_seconds=0.0
-    ):
-        super().__init__(
-            classes, seed=seed, hyperparams=hyperparams, train_seconds=train_seconds
-        )
+    def __init__(self, classes, weights, hyperparams=None, seed=None):
+        super().__init__(classes, seed=seed, hyperparams=hyperparams)
         # weights: dict with w1, b1, w2, b2, ws, bs
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
         self.loss_history: dict[str, list[float]] = {}
@@ -331,7 +325,6 @@ def train_net(
     check_trainable(train, min_classes=2)
     if max_iterations < 1:
         raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
-    t0 = time.perf_counter()
     classes = train.classes
     n_classes = len(classes)
     h1 = 100 * n_classes if hidden1 is None else hidden1
@@ -359,21 +352,22 @@ def train_net(
     sm_init = [glorot_uniform(rng, h2, n_classes), np.zeros(n_classes)]
 
     ae1, hist1 = _stage(
-        ae1_init, autoencoder_loss, autoencoder_grads, (X, l2_weight), max_iterations, learning_rate
+        "autoencoder1", ae1_init, autoencoder_loss, autoencoder_grads, (X, l2_weight),
+        max_iterations, learning_rate,
     )
     h1_act = sigmoid(X @ ae1[0] + ae1[1])
 
     ae2, hist2 = _stage(
-        ae2_init, autoencoder_loss, autoencoder_grads, (h1_act, l2_weight), max_iterations,
-        learning_rate,
+        "autoencoder2", ae2_init, autoencoder_loss, autoencoder_grads, (h1_act, l2_weight),
+        max_iterations, learning_rate,
     )
     h2_act = sigmoid(h1_act @ ae2[0] + ae2[1])
 
     y_onehot = np.zeros((n, n_classes))
     y_onehot[np.arange(n), y] = 1.0
     sm, hist3 = _stage(
-        sm_init, softmax_loss, softmax_grads, (h2_act, y_onehot, l2_weight), softmax_iterations,
-        learning_rate,
+        "softmax", sm_init, softmax_loss, softmax_grads, (h2_act, y_onehot, l2_weight),
+        softmax_iterations, learning_rate,
     )
 
     # Fine-tuning writes into the encoders and the head it is handed; the
@@ -381,8 +375,8 @@ def train_net(
     stack_init = [ae1[0], ae1[1], ae2[0], ae2[1], sm[0], sm[1]]
     ae1 = ae2 = sm = h1_act = h2_act = None
     stack, hist4 = _stage(
-        stack_init, stack_loss, stack_grads, (X, y_onehot, l2_weight), finetune_iterations,
-        learning_rate,
+        "finetune", stack_init, stack_loss, stack_grads, (X, y_onehot, l2_weight),
+        finetune_iterations, learning_rate,
     )
 
     model = AutoencoderNetModel(
@@ -405,7 +399,6 @@ def train_net(
             "learning_rate": float(learning_rate),
         },
         seed=seed,
-        train_seconds=time.perf_counter() - t0,
     )
     model.loss_history = {
         "autoencoder1": hist1,

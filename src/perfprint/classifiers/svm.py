@@ -12,7 +12,6 @@ reached, and its stats say by how much it misses tol.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import NamedTuple
 
 import numpy as np
@@ -171,12 +170,9 @@ class LinearSvmModel(Model):
         biases,
         hyperparams=None,
         seed=None,
-        train_seconds=0.0,
         solve_stats=(),
     ):
-        super().__init__(
-            classes, seed=seed, hyperparams=hyperparams, train_seconds=train_seconds
-        )
+        super().__init__(classes, seed=seed, hyperparams=hyperparams)
         self.pairs = [tuple(p) for p in pairs]  # (lower idx, higher idx) per model
         self._lower, self._higher = np.array(self.pairs, dtype=np.int64).reshape(-1, 2).T
         self.weights = np.asarray(weights, dtype=np.float64)  # (n_pairs, d)
@@ -250,14 +246,12 @@ def train_svm(
     c: float = 1.0,
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
-    seed=None,
 ) -> LinearSvmModel:
     """Fit all N*(N-1)/2 pairwise linear classifiers. The model keeps how
     each pair was solved as `solve_stats`, one SolveStats per pair."""
     check_trainable(train, min_classes=2)
     if c <= 0:
         raise ConfigError(f"C must be > 0, got {c}")
-    t0 = time.perf_counter()
     classes = train.classes
     X = train.feature_matrix()
     y = train.label_indices(classes)
@@ -281,7 +275,5 @@ def train_svm(
         weights=weights,
         biases=biases,
         hyperparams={"C": float(c), "tol": float(tol), "max_passes": int(max_passes)},
-        seed=seed,
-        train_seconds=time.perf_counter() - t0,
         solve_stats=stats,
     )

@@ -9,7 +9,6 @@ feature within the node.
 from __future__ import annotations
 
 import heapq
-import time
 
 import numpy as np
 
@@ -93,18 +92,8 @@ def best_split(X: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int = 1):
 class DecisionTreeModel(Model):
     kind = "tree"
 
-    def __init__(
-        self,
-        classes,
-        nodes,
-        class_frequency,
-        hyperparams=None,
-        seed=None,
-        train_seconds=0.0,
-    ):
-        super().__init__(
-            classes, seed=seed, hyperparams=hyperparams, train_seconds=train_seconds
-        )
+    def __init__(self, classes, nodes, class_frequency, hyperparams=None, seed=None):
+        super().__init__(classes, seed=seed, hyperparams=hyperparams)
         # nodes[i] is either {"counts": array} (leaf) or
         # {"feature": f, "threshold": t, "left": i, "right": j}; node 0 is
         # the root, and children come after their parent. Routing sends
@@ -181,14 +170,12 @@ def train_tree(
     max_splits: int | None = None,
     min_leaf: int = 1,
     min_parent: int = 10,
-    seed=None,
 ) -> DecisionTreeModel:
     """Grow a tree best-first until purity, the size floors, or the split
     budget stop it. Defaults follow the N-1 split cap with leaf floor 1 and
     parent floor 10.
     """
     check_trainable(train)
-    t0 = time.perf_counter()
     classes = train.classes
     n_classes = len(classes)
     if max_splits is None:
@@ -249,6 +236,4 @@ def train_tree(
         nodes=nodes,
         class_frequency=class_frequency,
         hyperparams={"max_splits": max_splits, "min_leaf": min_leaf, "min_parent": min_parent},
-        seed=seed,
-        train_seconds=time.perf_counter() - t0,
     )

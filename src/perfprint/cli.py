@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -183,14 +184,16 @@ def cmd_prep(args) -> int:
 def cmd_train(args) -> int:
     d = dataset.load(args.data)
     trainer = classifiers.make_trainer(args.kind, **_hyperparams(args))
+    t0 = time.perf_counter()
     model = trainer(d)
+    train_seconds = time.perf_counter() - t0
     classifiers.save_model(
         model,
         args.out,
         provenance={"train_data": args.data, "train_data_sha256": _sha256(args.data)},
     )
     print(f"trained {args.kind} on {len(d)} measurements "
-          f"({model.n_classes} classes) in {model.train_seconds:.1f} s -> {args.out}")
+          f"({model.n_classes} classes) in {train_seconds:.1f} s -> {args.out}")
     if isinstance(model, classifiers.LinearSvmModel):
         print(model.solve_summary())
     return 0
@@ -254,16 +257,17 @@ def cmd_curve(args) -> int:
     return 0
 
 
+# Each --policy choice's policy, built from the parsed arguments.
+_POLICIES = {
+    "noise": lambda a: mitigation.MitigationPolicy.noise_injection(a.sigma, seed=a.policy_seed),
+    "downsample": lambda a: mitigation.MitigationPolicy.sampling_degradation(a.factor),
+    "deny": lambda a: mitigation.MitigationPolicy.access_denied(),
+}
+
+
 def cmd_mitigate(args) -> int:
     d = dataset.load(args.data)
-    if args.policy == "noise":
-        policy = mitigation.MitigationPolicy.noise_injection(args.sigma, seed=args.policy_seed)
-    elif args.policy == "downsample":
-        policy = mitigation.MitigationPolicy.sampling_degradation(args.factor)
-    elif args.policy == "deny":
-        policy = mitigation.MitigationPolicy.access_denied()
-    else:
-        raise ConfigError(f"unknown policy {args.policy!r}")
+    policy = _POLICIES[args.policy](args)
     trainer = classifiers.make_trainer(args.kind, **_hyperparams(args))
     result = mitigation.leakage_report(
         trainer, d, policy, args.n_train, args.n_test, args.split_seed
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mitigate", help="before/after leakage comparison")
     p.add_argument("--data", required=True)
-    p.add_argument("--policy", required=True, choices=("noise", "downsample", "deny"))
+    p.add_argument("--policy", required=True, choices=tuple(_POLICIES))
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--factor", type=int, default=2)
     p.add_argument("--policy-seed", type=int, default=0)

@@ -218,7 +218,7 @@ def _open_counter(spec: EventSpec, pid: int, cpu: int) -> int:
     attr.type = type_
     attr.size = ctypes.sizeof(_PerfEventAttr)
     attr.config = config
-    attr.flags = _FLAG_DISABLED | (_FLAG_EXCLUDE_KERNEL if spec.exclude_kernel else 0)
+    attr.flags = _FLAG_DISABLED | _FLAG_EXCLUDE_KERNEL
     fd = libc.syscall(
         ctypes.c_long(_SYSCALL_NR[arch]),
         ctypes.byref(attr),

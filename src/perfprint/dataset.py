@@ -366,7 +366,7 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
         raise DataError(f"{path}: empty dataset file")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: line 1: malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: line 1: header is not a JSON object")

@@ -44,11 +44,10 @@ class EventSpec:
 
     `kind` is derived from the name: cache-load events belong to the
     hardware-cache group, everything else to the generic-hardware group.
-    Kernel activity is excluded by default for portability.
+    Kernel activity is never counted, for portability.
     """
 
     event_name: str
-    exclude_kernel: bool = True
 
     def __post_init__(self):
         if self.event_name not in EVENT_KINDS:
@@ -191,8 +190,8 @@ _PRESETS = {
 def preset(name: str, read_interval_us: int | None = None) -> ScenarioPreset:
     """Return the named scenario preset, fully populated.
 
-    Pure and deterministic; the read interval may be overridden because only
-    the totals (samples per event, duration) are fixed per scenario.
+    Pure and deterministic. `read_interval_us` overrides the preset's read
+    interval, and with it the samples per event; the duration stays.
     """
     try:
         spec = _PRESETS[name]

@@ -10,6 +10,7 @@ in the README instead.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +34,8 @@ class MitigationPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind is PolicyKind.NOISE_INJECTION and self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if self.kind is PolicyKind.NOISE_INJECTION and not 0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind is PolicyKind.SAMPLING_DEGRADATION and self.factor < 2:
             raise ConfigError(f"factor must be >= 2, got {self.factor}")
 

@@ -20,7 +20,7 @@ import pytest
 
 from perfprint import collector, dataset, evaluation, synth
 from perfprint.classifiers import make_trainer, save_model, train_knn
-from perfprint.classifiers.net import softmax, stack_grads, stack_loss, train_net
+from perfprint.classifiers.net import Workspace, softmax, stack_grads, stack_loss, train_net
 from perfprint.classifiers.svm import solve_pair
 from perfprint.classifiers.tree import best_split
 from perfprint.collector import AccessLevel
@@ -220,9 +220,12 @@ def test_criterion_4_network_numerics():
             rng.normal(scale=0.5, size=shape)
             for shape in [(4, 3), (3,), (3, 2), (2,), (2, 2), (2,)]
         ]
-        analytic = stack_grads(params, X, onehot, 0.001, stack_loss(params, X, onehot, 0.001)[1])
+        analytic = stack_grads(
+            params, X, onehot, 0.001, stack_loss(params, X, onehot, 0.001, Workspace())[1],
+            Workspace(),
+        )
         numeric = finite_difference_grads(
-            lambda p: stack_loss(p, X, onehot, 0.001)[0], params, h=1e-5
+            lambda p: stack_loss(p, X, onehot, 0.001, Workspace())[0], params, h=1e-5
         )
         worst = 0.0
         for a, n in zip(analytic, numeric):

@@ -6,6 +6,7 @@ import pytest
 from perfprint.classifiers import train_net
 from perfprint.classifiers.net import (
     DEFAULT_MEMORY_BUDGET_MB,
+    Workspace,
     autoencoder_grads,
     autoencoder_loss,
     descend,
@@ -15,7 +16,7 @@ from perfprint.classifiers.net import (
     stack_grads,
     stack_loss,
 )
-from perfprint.errors import ConfigError
+from perfprint.errors import ConfigError, DataError
 
 from helpers import random_dataset
 from oracles import finite_difference_grads, reference_sigmoid, reference_train_net
@@ -40,8 +41,10 @@ def test_stack_gradients_match_finite_differences():
         rng.normal(scale=0.5, size=shape)
         for shape in [(4, 3), (3,), (3, 2), (2,), (2, 2), (2,)]
     ]
-    analytic = stack_grads(params, X, onehot, 0.001, stack_loss(params, X, onehot, 0.001)[1])
-    numeric = finite_difference_grads(lambda p: stack_loss(p, X, onehot, 0.001)[0], params)
+    analytic = stack_grads(params, X, onehot, 0.001,
+                           stack_loss(params, X, onehot, 0.001, Workspace())[1], Workspace())
+    numeric = finite_difference_grads(
+        lambda p: stack_loss(p, X, onehot, 0.001, Workspace())[0], params)
     assert _relative_errors(analytic, numeric) < 1e-4
 
 
@@ -51,8 +54,10 @@ def test_autoencoder_gradients_match_finite_differences():
     params = [
         rng.normal(scale=0.5, size=shape) for shape in [(4, 3), (3,), (3, 4), (4,)]
     ]
-    analytic = autoencoder_grads(params, X, 0.001, autoencoder_loss(params, X, 0.001)[1])
-    numeric = finite_difference_grads(lambda p: autoencoder_loss(p, X, 0.001)[0], params)
+    analytic = autoencoder_grads(params, X, 0.001,
+                                 autoencoder_loss(params, X, 0.001, Workspace())[1], Workspace())
+    numeric = finite_difference_grads(
+        lambda p: autoencoder_loss(p, X, 0.001, Workspace())[0], params)
     assert _relative_errors(analytic, numeric) < 1e-4
 
 
@@ -204,26 +209,25 @@ def test_sigmoid_matches_the_masked_reference_bit_for_bit():
 
 
 
-REFERENCE_CASES = {  # classes, rows per class, width, hidden1, hidden2, iterations, rate
-    "small": (3, 6, 40, 16, 8, 30, 0.1),
+REFERENCE_CASES = {  # classes, rows per class, width, hidden1, hidden2, iterations, rate, l2
+    "small": (3, 6, 40, 16, 8, 30, 0.1, 0.001),
     # hidden2 > hidden1: the second autoencoder's largest temporary is its error
-    "wide": (4, 10, 500, 20, 200, 6, 0.1),
-    "rejected-steps": (3, 8, 60, None, None, 40, 50.0),  # the rate overshoots
-    # a nan feature makes every trial's loss nan, so each stage halves its
-    # rate until it underflows
-    "rate-underflow": (2, 5, 7, 3, 2, 80, 0.1),
+    "wide": (4, 10, 500, 20, 200, 6, 0.1, 0.001),
+    "rejected-steps": (3, 8, 60, None, None, 40, 50.0, 0.001),  # the rate overshoots
+    # at l2 1e30 any step at a rate above the floor (1e-15) multiplies the
+    # weights by about 1 - rate * l2, raising the L2 term, so each stage
+    # halves its rate until it underflows
+    "rate-underflow": (2, 5, 7, 3, 2, 80, 0.1, 1e30),
 }
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_training_matches_the_fresh_array_reference_bit_for_bit(case):
-    n_classes, per_class, width, hidden1, hidden2, iterations, rate = REFERENCE_CASES[case]
+    n_classes, per_class, width, hidden1, hidden2, iterations, rate, l2 = REFERENCE_CASES[case]
     d = random_dataset(np.random.default_rng(52), n_classes, per_class, width)
-    if case == "rate-underflow":
-        d = d.with_features(np.where(np.arange(width) == 3, np.nan, d.feature_matrix()))
     model = train_net(d, seed=4, hidden1=hidden1, hidden2=hidden2, max_iterations=iterations,
                       softmax_iterations=iterations + 5, finetune_iterations=iterations - 2,
-                      learning_rate=rate)
+                      learning_rate=rate, l2_weight=l2)
     h = model.hyperparams
     weights, history = reference_train_net(
         d.feature_matrix(), d.label_indices(), n_classes, 4, h["hidden1"], h["hidden2"],
@@ -240,3 +244,14 @@ def test_training_matches_the_fresh_array_reference_bit_for_bit(case):
         assert lengths == [iterations + 1, iterations + 1, iterations + 6, iterations - 1]
     if case == "rejected-steps":  # a rejected step repeats the loss it kept
         assert any(a == b for losses in history.values() for a, b in zip(losses, losses[1:]))
+
+
+@pytest.mark.parametrize("value", [1e300, np.nan])
+def test_a_stage_whose_first_loss_is_not_finite_raises(value):
+    # 1e300 is finite, but its square in the first autoencoder's loss is not.
+    d = random_dataset(np.random.default_rng(53), 2, 5, 7)
+    x = d.feature_matrix().copy()
+    x[0, 3] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataError, match="net stage autoencoder1: the initial loss is "):
+            train_net(d.with_features(x), seed=0, max_iterations=5)

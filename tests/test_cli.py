@@ -71,6 +71,19 @@ def test_malformed_scenario_file_exits_with_an_error_line(tmp_path, capsys, raw,
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["evaluate", "prep"])
+def test_deeply_nested_json_exits_with_an_error_line(tmp_path, capsys, command):
+    deep = tmp_path / "deep"
+    if command == "evaluate":  # a model file
+        deep.write_text("[" * 100_000)
+        argv = ("evaluate", "--data", tmp_path / "t.csv", "--model", deep, "--out-dir", tmp_path / "ev")
+    else:  # a dataset header
+        deep.write_text('{"format":' + "[" * 100_000 + "\na,1.0\n")
+        argv = ("prep", "--data", deep, "--normalize", "--out", tmp_path / "x.csv")
+    assert run(*argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {deep}: ")
+
+
 def test_unknown_scenario_exits_with_config_error(tmp_path, capsys):
     code = run("collect", "--scenario", "bogus", "--label", "x", "--out", tmp_path / "t.csv")
     assert code == 2
@@ -231,6 +244,16 @@ def test_mitigate_deny_reaches_chance(tmp_path):
     assert doc["seeds"]["split_seed"] == 5
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_mitigate_rejects_a_sigma_that_is_not_finite(tmp_path, capsys, sigma):
+    full, out = tmp_path / "full.csv", tmp_path / "leak.json"
+    assert run(*synth_args(full)) == 0
+    assert run("mitigate", "--data", full, "--policy", "noise", "--sigma", sigma, "--kind", "knn",
+               "--n-train", 6, "--n-test", 2, "--out", out) == 2
+    assert f"sigma must be finite and >= 0, got {sigma}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Frozen once from the first implementation run with the seeds used below
 # (synth 1234, split 7, net 7): the CLI-level pipeline regression value.
 PIPELINE_FROZEN_SUCCESS_RATE = 1.0
@@ -263,6 +286,20 @@ def _train_cli_model(tmp_path, kind, *flags):
                "--split-test", 2, "--train-out", train, "--test-out", test) == 0
     assert run("train", "--data", train, "--kind", kind, "--out", model, *flags) == 0
     return model, test
+
+
+@pytest.mark.parametrize("kind", ["knn", "tree", "svm", "net"])
+def test_train_prints_a_summary_line(tmp_path, capsys, kind):
+    full, model = tmp_path / "full.csv", tmp_path / f"{kind}.json"
+    assert run(*synth_args(full, classes=3, per_class=4, samples=20)) == 0
+    flags = ("--max-iter", 5) if kind == "net" else ()
+    assert run("train", "--data", full, "--kind", kind, "--out", model, *flags) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = lines[-2] if kind == "svm" else lines[-1]  # the svm adds its pair line
+    assert re.fullmatch(
+        rf"trained {kind} on 12 measurements \(3 classes\) in \d+\.\d s -> {re.escape(str(model))}",
+        summary,
+    )
 
 
 def test_train_svm_prints_how_the_pairs_were_solved(tmp_path, capsys):

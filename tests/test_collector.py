@@ -1,3 +1,4 @@
+import platform
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from perfprint.errors import (
     PermissionDeniedError,
     ProcessWaitTimeoutError,
 )
-from perfprint.events import CollectorConfig, EventSpec, ProfilingScope
+from perfprint.events import EVENT_NAMES, CollectorConfig, EventSpec, ProfilingScope
 
 needs_perf = pytest.mark.skipif(
     not collector.interface_available(),
@@ -237,3 +238,21 @@ def test_interval_pacing_hits_expected_sample_count():
     )
     raw = collector.collect(config)
     assert abs(raw.samples_per_event - config.expected_samples) <= 1
+
+
+def test_every_counter_excludes_the_kernel(monkeypatch, tmp_path):
+    flags = []
+
+    class Libc:  # stands in for perf_event_open, recording the attr it is given
+        def syscall(self, number, attr, *args):
+            flags.append(attr._obj.flags)
+            return 5
+
+    paranoid = tmp_path / "paranoid"
+    paranoid.write_text("2\n")
+    monkeypatch.setattr(collector, "PARANOID_PATH", str(paranoid))
+    monkeypatch.setitem(collector._SYSCALL_NR, platform.machine(), 298)
+    monkeypatch.setattr(collector.ctypes, "CDLL", lambda *args, **kwargs: Libc())
+    fds = [collector._open_counter(EventSpec(name), 0, -1) for name in EVENT_NAMES]
+    assert fds == [5] * len(EVENT_NAMES)
+    assert flags == [collector._FLAG_DISABLED | collector._FLAG_EXCLUDE_KERNEL] * len(EVENT_NAMES)

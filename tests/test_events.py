@@ -68,10 +68,6 @@ def test_unknown_event_name_rejected():
         events.EventSpec("tlb-misses")
 
 
-def test_exclude_kernel_defaults_on():
-    assert events.EventSpec("instructions").exclude_kernel
-
-
 def test_scope_variants():
     core = events.ProfilingScope.core(2)
     assert core.cpu == 2 and core.pid == -1 and core.is_core_wide
