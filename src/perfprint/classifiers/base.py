@@ -7,8 +7,12 @@ so indices are stable across runs).
 
 A model kind lives in one module. Its class implements one batch ranking
 method, `rank_classes_many(X)`, and owns the payload of its model file:
-`to_payload()` writes it and the classmethod
-`from_payload(classes, payload, hyperparams, seed)` reads it back.
+`to_payload()` gives it as JSON values and float64 arrays, and the
+classmethod `from_payload(classes, payload, hyperparams, seed)` reads it
+back, with each array as a fresh, writable float64 array. How training
+went (solver steps, loss histories, split gains) is kept apart from the
+payload: `diagnostics()` gives it as JSON values, which ranking never
+reads, and `restore_diagnostics(diagnostics)` puts a saved copy back.
 """
 
 from __future__ import annotations
@@ -69,17 +73,33 @@ class Model:
     def predict_many(self, X) -> list[str]:
         return [row[0] for row in self.predict_topk_many(X, 1)]
 
+    def diagnostics(self) -> dict:
+        """How training went, as deterministic JSON values."""
+        return {}
 
-def _encode(arr: np.ndarray) -> dict:
-    """A float64 array as its shape and base64-packed little-endian bytes."""
-    arr = np.asarray(arr, dtype=np.float64)
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii"),
-    }
+    def restore_diagnostics(self, diagnostics: dict):
+        """Put back what `diagnostics()` gave; DataError if it does not fit."""
+        if diagnostics != {}:
+            raise DataError(f"{self.kind} models have no diagnostics")
+
+
+def _array(value) -> np.ndarray:
+    """A payload entry that must be an array."""
+    if not isinstance(value, np.ndarray):
+        raise DataError(f"expected an array, found {type(value).__name__}")
+    return value
+
+
+def _floats(value) -> list[float]:
+    """A JSON list of numbers, as floats."""
+    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+        raise DataError("expected a list of numbers")
+    return [float(v) for v in value]
 
 
 def _decode(obj: dict) -> np.ndarray:
+    """A version-1 file's array: its shape and base64-packed little-endian
+    bytes."""
     raw = base64.b64decode(obj["data"])
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _decode, _encode, check_trainable
+from .base import Model, _array, check_trainable
 
 
 class KnnModel(Model):
@@ -26,11 +26,11 @@ class KnnModel(Model):
         return self.train_x.shape[1]
 
     def to_payload(self) -> dict:
-        return {"k": self.k, "train_x": _encode(self.train_x), "train_y": self.train_y.tolist()}
+        return {"k": self.k, "train_x": self.train_x, "train_y": self.train_y.tolist()}
 
     @classmethod
     def from_payload(cls, classes, payload, hyperparams, seed):
-        train_x, train_y, k = _decode(payload["train_x"]), payload["train_y"], payload["k"]
+        train_x, train_y, k = _array(payload["train_x"]), payload["train_y"], payload["k"]
         n_classes = len(classes)
         if not (isinstance(train_y, list) and train_y
                 and all(type(c) is int and 0 <= c < n_classes for c in train_y)):

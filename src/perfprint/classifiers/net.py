@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _decode, _encode, check_trainable
+from .base import Model, _array, _floats, check_trainable
 
 DEFAULT_MAX_ITERATIONS = 400
 DEFAULT_L2_WEIGHT = 0.001
@@ -23,6 +23,8 @@ DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_MEMORY_BUDGET_MB = 2048.0
 _MIN_LEARNING_RATE = 1e-15
 _LAYERS = ("w1", "b1", "w2", "b2", "ws", "bs")  # payload names, in file order
+_STAGES = ("autoencoder1", "autoencoder2", "softmax", "finetune")  # in training order
+_STOP_REASONS = ("budget", "rate underflow")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -238,20 +240,23 @@ class AutoencoderNetModel(Model):
         super().__init__(classes, seed=seed, hyperparams=hyperparams)
         # weights: dict with w1, b1, w2, b2, ws, bs
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
+        # Per training stage: its losses, and why it stopped, one of
+        # _STOP_REASONS. Both are empty for a net that was not trained.
         self.loss_history: dict[str, list[float]] = {}
+        self.stop_reasons: dict[str, str] = {}
 
     @property
     def n_features(self) -> int:
         return self.weights["w1"].shape[0]
 
     def to_payload(self) -> dict:
-        return {name: _encode(arr) for name, arr in self.weights.items()}
+        return dict(self.weights)
 
     @classmethod
     def from_payload(cls, classes, payload, hyperparams, seed):
         if set(payload) != set(_LAYERS):
             raise DataError(f"net payload must hold exactly {', '.join(_LAYERS)}")
-        weights = {name: _decode(obj) for name, obj in payload.items()}
+        weights = {name: _array(obj) for name, obj in payload.items()}
         w1, b1, w2, b2, ws, bs = (weights[name] for name in _LAYERS)
         n_classes = len(classes)
         if not (
@@ -263,6 +268,20 @@ class AutoencoderNetModel(Model):
             shapes = ", ".join(f"{name} {weights[name].shape}" for name in _LAYERS)
             raise DataError(f"net layer shapes do not chain into {n_classes} classes: {shapes}")
         return cls(classes, weights=weights, hyperparams=hyperparams, seed=seed)
+
+    def diagnostics(self) -> dict:
+        return {"loss_history": self.loss_history, "stop_reasons": self.stop_reasons}
+
+    def restore_diagnostics(self, diagnostics: dict):
+        history, stopped = diagnostics["loss_history"], diagnostics["stop_reasons"]
+        if not (isinstance(history, dict) and isinstance(stopped, dict)
+                and list(history) == list(stopped) in ([], list(_STAGES))
+                and all(reason in _STOP_REASONS for reason in stopped.values())):
+            raise DataError(f"net diagnostics need a loss history and a stop reason "
+                            f"({' or '.join(_STOP_REASONS)}) for all of {', '.join(_STAGES)} "
+                            "or for none")
+        self.loss_history = {stage: _floats(losses) for stage, losses in history.items()}
+        self.stop_reasons = dict(stopped)
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -400,10 +419,12 @@ def train_net(
         },
         seed=seed,
     )
-    model.loss_history = {
-        "autoencoder1": hist1,
-        "autoencoder2": hist2,
-        "softmax": hist3,
-        "finetune": hist4,
+    model.loss_history = dict(zip(_STAGES, (hist1, hist2, hist3, hist4)))
+    # `descend` runs out its budget with a history of cap + 1 losses, or
+    # stops short when the rate underflows.
+    caps = (max_iterations, max_iterations, softmax_iterations, finetune_iterations)
+    model.stop_reasons = {
+        stage: "budget" if len(history) > cap else "rate underflow"
+        for (stage, history), cap in zip(model.loss_history.items(), caps)
     }
     return model

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _decode, _encode, check_trainable
+from .base import Model, _array, _floats, check_trainable
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
@@ -177,8 +177,8 @@ class LinearSvmModel(Model):
         self._lower, self._higher = np.array(self.pairs, dtype=np.int64).reshape(-1, 2).T
         self.weights = np.asarray(weights, dtype=np.float64)  # (n_pairs, d)
         self.biases = np.asarray(biases, dtype=np.float64)
-        # One SolveStats per pair from training; never saved, so a loaded
-        # model has none and model files keep their bytes.
+        # One SolveStats per pair from training, or none; saved as the
+        # model file's diagnostics.
         self.solve_stats = list(solve_stats)
 
     @property
@@ -188,8 +188,8 @@ class LinearSvmModel(Model):
     def to_payload(self) -> dict:
         return {
             "pairs": [list(p) for p in self.pairs],
-            "weights": _encode(self.weights),
-            "biases": _encode(self.biases),
+            "weights": self.weights,
+            "biases": self.biases,
         }
 
     @classmethod
@@ -201,13 +201,28 @@ class LinearSvmModel(Model):
             for p in pairs
         ):
             raise DataError(f"svm pairs must be class indices [i, j] with i < j < {n_classes}")
-        weights, biases = _decode(payload["weights"]), _decode(payload["biases"])
+        weights, biases = _array(payload["weights"]), _array(payload["biases"])
         if weights.ndim != 2 or weights.shape[0] != len(pairs) or biases.shape != (len(pairs),):
             raise DataError(
                 f"svm has {len(pairs)} pairs but weights of shape {weights.shape} "
                 f"and biases of shape {biases.shape}"
             )
         return cls(classes, pairs, weights, biases, hyperparams=hyperparams, seed=seed)
+
+    def diagnostics(self) -> dict:
+        """Each pair's active-set steps and final violation, in pair order."""
+        return {
+            "steps": [s.steps for s in self.solve_stats],
+            "violation": [s.violation for s in self.solve_stats],
+        }
+
+    def restore_diagnostics(self, diagnostics: dict):
+        steps, violation = diagnostics["steps"], _floats(diagnostics["violation"])
+        if not (isinstance(steps, list) and all(type(s) is int and s >= 0 for s in steps)
+                and len(steps) == len(violation) in (0, len(self.pairs))):
+            raise DataError(f"svm diagnostics need steps and violations for all {len(self.pairs)} "
+                            "pairs or for none")
+        self.solve_stats = [SolveStats(s, v) for s, v in zip(steps, violation)]
 
     def solve_summary(self) -> str:
         """How training solved the pairs: how many were certified against
@@ -258,6 +273,9 @@ def train_svm(
     pairs = list(itertools.combinations(range(len(classes)), 2))
     xa = _with_ones(X)
     gram = xa @ xa.T  # one product for all pairs, sliced per pair
+    if not np.isfinite(gram).all():
+        raise DataError("svm: the features must be finite and small enough that their "
+                        "squares are")
     weights = np.zeros((len(pairs), X.shape[1]))
     biases = np.zeros(len(pairs))
     stats = []

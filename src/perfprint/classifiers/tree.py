@@ -13,7 +13,7 @@ import heapq
 import numpy as np
 
 from ..errors import DataError
-from .base import Model, check_trainable
+from .base import Model, _floats, check_trainable
 
 _FEATURE_CHUNK = 128  # bounds the (n, chunk, classes) temporaries
 
@@ -92,13 +92,17 @@ def best_split(X: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int = 1):
 class DecisionTreeModel(Model):
     kind = "tree"
 
-    def __init__(self, classes, nodes, class_frequency, hyperparams=None, seed=None):
+    def __init__(self, classes, nodes, class_frequency, hyperparams=None, seed=None,
+                 split_gains=()):
         super().__init__(classes, seed=seed, hyperparams=hyperparams)
         # nodes[i] is either {"counts": array} (leaf) or
         # {"feature": f, "threshold": t, "left": i, "right": j}; node 0 is
         # the root, and children come after their parent. Routing sends
         # x[feature] <= threshold to the left child.
         self.nodes = nodes
+        # The information gain of each split, one per internal node in node
+        # order, or none.
+        self.split_gains = list(split_gains)
         self.class_frequency = np.asarray(class_frequency, dtype=np.int64)
         # Each leaf's ranking, computed once: the classes present in the leaf
         # by (-count, index), then the absent ones by (-class_frequency, index).
@@ -129,6 +133,16 @@ class DecisionTreeModel(Model):
         used = [node["feature"] for node in self.nodes if "counts" not in node]
         if used and max(used) >= width:
             raise DataError(f"tree model splits on feature {max(used)}, data has {width} features")
+
+    def diagnostics(self) -> dict:
+        return {"split_gains": self.split_gains}
+
+    def restore_diagnostics(self, diagnostics: dict):
+        gains = _floats(diagnostics["split_gains"])
+        n_splits = sum("counts" not in node for node in self.nodes)
+        if len(gains) not in (0, n_splits):
+            raise DataError(f"tree diagnostics need gains for all {n_splits} splits or for none")
+        self.split_gains = gains
 
     def to_payload(self) -> dict:
         nodes = [
@@ -200,13 +214,14 @@ def train_tree(
             return
         gain, feature, threshold = found
         weighted = gain * len(members) / n_total
-        heapq.heappush(heap, (-weighted, counter, node_idx, feature, threshold))
+        heapq.heappush(heap, (-weighted, counter, node_idx, feature, threshold, gain))
         counter += 1
 
     consider(0)
     splits_done = 0
+    gains = {}
     while heap and splits_done < max_splits:
-        _, _, node_idx, feature, threshold = heapq.heappop(heap)
+        _, _, node_idx, feature, threshold, gains[node_idx] = heapq.heappop(heap)
         members = nodes[node_idx].pop("members")
         go_left = X[members, feature] <= threshold
         left_members = members[go_left]
@@ -236,4 +251,5 @@ def train_tree(
         nodes=nodes,
         class_frequency=class_frequency,
         hyperparams={"max_splits": max_splits, "min_leaf": min_leaf, "min_parent": min_parent},
+        split_gains=[gains[i] for i in sorted(gains)],
     )

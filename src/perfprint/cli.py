@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -88,16 +89,23 @@ _MODEL_FLAGS = {
 def _hyperparams(args) -> dict:
     """The trainer keywords of the chosen kind, defaults filled in; those
     whose default is None are dropped unless given. A flag of another
-    kind is a ConfigError."""
+    kind, or a float flag that is not finite, is a ConfigError."""
     values = {}
     for kind, flags in _MODEL_FLAGS.items():
         for flag, kw, _, default, _ in flags:
             dest = flag[2:].replace("-", "_")
             if kind == args.kind:
                 values[kw] = getattr(args, dest, default)
+                _check_finite(flag, values[kw])
             elif hasattr(args, dest):
                 raise ConfigError(f"{flag} is a --kind {kind} flag, not one for --kind {args.kind}")
     return {kw: value for kw, value in values.items() if value is not None}
+
+
+def _check_finite(flag: str, value):
+    """Reports and model files are strict JSON, which has no nan or inf."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
 
 
 def _add_model_flags(parser):
@@ -268,6 +276,7 @@ _POLICIES = {
 def cmd_mitigate(args) -> int:
     d = dataset.load(args.data)
     policy = _POLICIES[args.policy](args)
+    _check_finite("--sigma", args.sigma)  # the report records it under every policy
     trainer = classifiers.make_trainer(args.kind, **_hyperparams(args))
     result = mitigation.leakage_report(
         trainer, d, policy, args.n_train, args.n_test, args.split_seed

@@ -311,18 +311,25 @@ def _check_row(m: Measurement):
         raise DataError("a measurement with no features needs a non-empty label")
 
 
-def _write_atomic(path: str, lines):
-    """Write `lines` to a temp file beside `path`, then rename it over `path`.
+def _write_atomic(path: str, chunks):
+    """Write `chunks` to a temp file beside `path`, then rename it over `path`.
 
-    On any error the temp file is removed and `path` keeps its old bytes.
-    The data is synced before the rename, so a crash leaves either the old
-    file or the complete new one. An existing file's permission bits carry
-    over to the replacement. Line ends are written as given, untranslated.
+    A chunk is text, written as a text file writes it with its line ends
+    untranslated, or a C-contiguous buffer (bytes, an array), whose bytes
+    are written as they stand. On any error the temp file is removed and
+    `path` keeps its old bytes. The data is synced before the rename, so a
+    crash leaves either the old file or the complete new one. An existing
+    file's permission bits carry over to the replacement.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.writelines(lines)
+            for chunk in chunks:
+                if isinstance(chunk, str):
+                    fh.write(chunk)
+                else:
+                    fh.flush()  # the text so far goes first
+                    fh.buffer.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         if os.path.exists(path):
@@ -336,8 +343,9 @@ def _write_atomic(path: str, lines):
 
 def write_json(path: str, doc):
     """Write `doc` atomically as compact JSON and a newline. The encoded
-    chunks are streamed, as `json.dump` does, rather than joined first."""
-    chunks = json.JSONEncoder(separators=(",", ":")).iterencode(doc)
+    chunks are streamed, as `json.dump` does, rather than joined first. A
+    float that is not finite is a ValueError, since JSON has no such value."""
+    chunks = json.JSONEncoder(separators=(",", ":"), allow_nan=False).iterencode(doc)
     _write_atomic(path, itertools.chain(chunks, ["\n"]))
 
 

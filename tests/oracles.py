@@ -5,12 +5,16 @@ lists, fresh formulas) on purpose: these are the oracles the fast numpy
 paths are verified against, so they must not share code with them.
 """
 
+import base64
+import itertools
+import json
 import math
 from collections import Counter
 
 import numpy as np
 
 from perfprint.classifiers.net import _MIN_LEARNING_RATE, _cross_entropy, sigmoid, softmax
+from perfprint.dataset import _write_atomic
 
 
 def knn_rank(train_x, train_y, n_classes, query, k):
@@ -658,3 +662,67 @@ def reference_train_net(X, y, n_classes, seed, hidden1, hidden2, max_iterations,
         finetune_iterations, learning_rate,
     )
     return stack, {"autoencoder1": hist1, "autoencoder2": hist2, "softmax": hist3, "finetune": hist4}
+
+
+# -- reference copy of the version-1 model writer -----------------------------
+# `save_model` of `perfprint.classifiers.io` as it was when model files were
+# one line of JSON with each array as base64 text, copied verbatim with
+# `_encode`, `_dumps` and `_payload_chunks`. The one adaptation: `to_payload`
+# now hands over arrays, which the copy encodes as the old `to_payload` did.
+
+
+V1_FILE_FORMAT = "perfprint-model"
+V1_FILE_VERSION = 1
+
+
+def _v1_encode(arr: np.ndarray) -> dict:
+    """A float64 array as its shape and base64-packed little-endian bytes."""
+    arr = np.asarray(arr, dtype=np.float64)
+    return {
+        "shape": list(arr.shape),
+        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii"),
+    }
+
+
+def save_model_v1(model, path: str, provenance: dict | None = None):
+    """Write `model` atomically as one line of compact JSON.
+
+    The bytes are those of `write_json` of the whole document, but each
+    payload array's base64 text is written as it stands rather than passed
+    through the JSON encoder: its characters ([A-Za-z0-9+/=]) are never
+    escaped, and the text is most of the file.
+    """
+    envelope = {
+        "format": V1_FILE_FORMAT,
+        "version": V1_FILE_VERSION,
+        "kind": model.kind,
+        "classes": model.classes,
+        "seed": model.seed,
+        "hyperparams": model.hyperparams,
+        "provenance": provenance,
+        "payload": None,  # the last key; its value is written below
+    }
+    payload = {
+        name: _v1_encode(value) if isinstance(value, np.ndarray) else value
+        for name, value in model.to_payload().items()
+    }
+    head = _v1_dumps(envelope)[: -len("null}")]
+    _write_atomic(path, itertools.chain([head], _v1_payload_chunks(payload), ["}\n"]))
+
+
+def _v1_dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _v1_payload_chunks(payload: dict):
+    """`_dumps(payload)` in chunks, each array's base64 text one chunk."""
+    yield "{"
+    for i, (name, value) in enumerate(payload.items()):
+        yield ("," if i else "") + _v1_dumps(name) + ":"
+        if isinstance(value, dict) and list(value) == ["shape", "data"]:  # from `_encode`
+            yield '{"shape":' + _v1_dumps(value["shape"]) + ',"data":"'
+            yield value["data"]
+            yield '"}'
+        else:
+            yield _v1_dumps(value)
+    yield "}"

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from perfprint import collector, dataset, evaluation, synth
-from perfprint.classifiers import make_trainer, save_model, train_knn
+from perfprint.classifiers import load_model, make_trainer, save_model, train_knn
 from perfprint.classifiers.net import Workspace, softmax, stack_grads, stack_loss, train_net
 from perfprint.classifiers.svm import solve_pair
 from perfprint.classifiers.tree import best_split
@@ -32,6 +32,7 @@ from oracles import (
     all_split_gains,
     finite_difference_grads,
     knn_rank,
+    save_model_v1,
     split_gain,
     svm_grid_dual_max,
 )
@@ -83,6 +84,7 @@ FROZEN_MITIGATED_1NN_RATE = 16 / 300
 @dataclass
 class PipelineRun:
     clean: dataset.Dataset  # downsampled, pre-split
+    test: dataset.Dataset  # normalized
     reports: dict
     model_files: dict
     report_files: dict
@@ -112,6 +114,7 @@ def run_pipeline(arm: dict, out_dir: str) -> PipelineRun:
         evaluation.write_report_json(report, report_files[kind])
     return PipelineRun(
         clean=clean,
+        test=test,
         reports=reports,
         model_files=model_files,
         report_files=report_files,
@@ -329,6 +332,18 @@ def test_criterion_9_pipeline_determinism(low_run, high_run, tmp_path_factory):
                 assert filecmp.cmp(
                     first.report_files[kind], second.report_files[kind], shallow=False
                 ), f"{kind} report files differ"
+
+
+def test_version_1_and_2_model_files_rank_alike(low_run, high_run, tmp_path):
+    """Each model of both arms, written by the reference copy of the
+    version-1 writer, ranks the test rows as its version-2 file does."""
+    for run in (low_run, high_run):
+        X = run.test.feature_matrix()
+        for kind, path in run.model_files.items():
+            v2 = load_model(path)
+            save_model_v1(v2, str(tmp_path / "v1.json"))
+            v1 = load_model(str(tmp_path / "v1.json"))
+            assert v1.rank_classes_many(X).tobytes() == v2.rank_classes_many(X).tobytes(), kind
 
 
 def test_criterion_10_collector_integration():

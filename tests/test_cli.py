@@ -1,10 +1,11 @@
-import base64
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import perfprint
@@ -14,6 +15,37 @@ from perfprint.cli import main
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _envelope(path):
+    """A model file's first line: its JSON envelope."""
+    return json.loads(path.read_bytes().partition(b"\n")[0])
+
+
+def _read_model(path):
+    """A model file's envelope, with each payload array in place of its
+    descriptor."""
+    line, _, data = path.read_bytes().partition(b"\n")
+    doc = json.loads(line)
+    for name, value in doc["payload"].items():
+        if isinstance(value, dict):
+            count = math.prod(value["shape"])
+            array = np.frombuffer(data, "<f8", count=count, offset=value["offset"])
+            doc["payload"][name] = array.reshape(value["shape"])
+    return doc
+
+
+def _write_model(path, doc):
+    """`_read_model` undone: each array, wherever it is, goes to the data
+    section, and its descriptor to the envelope."""
+    data = bytearray()
+
+    def descriptor(array):
+        entry = {"dtype": "<f8", "shape": list(array.shape), "offset": len(data)}
+        data.extend(array.astype("<f8").tobytes())
+        return entry
+
+    path.write_bytes(json.dumps(doc, default=descriptor).encode() + b"\n" + data)
 
 
 def synth_args(out, classes=4, per_class=8, samples=80, seed=3, sigma=0.05, shift=0.01):
@@ -254,6 +286,28 @@ def test_mitigate_rejects_a_sigma_that_is_not_finite(tmp_path, capsys, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policy", ["downsample", "deny"])
+def test_mitigate_rejects_a_sigma_that_is_not_finite_under_any_policy(tmp_path, capsys, policy):
+    # The report records --sigma whatever the policy, and JSON has no nan.
+    full, out = tmp_path / "full.csv", tmp_path / "leak.json"
+    assert run(*synth_args(full)) == 0
+    assert run("mitigate", "--data", full, "--policy", policy, "--sigma", "nan", "--kind", "knn",
+               "--n-train", 6, "--n-test", 2, "--out", out) == 2
+    assert capsys.readouterr().err == "error: --sigma must be finite, got nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flag", [("svm", "--C"), ("svm", "--tol"), ("net", "--l2"),
+                                        ("net", "--lr"), ("net", "--memory-budget-mb")])
+def test_a_model_flag_that_is_not_finite_exits_two(tmp_path, capsys, kind, flag):
+    full, out = tmp_path / "full.csv", tmp_path / "m.json"
+    assert run(*synth_args(full, classes=2, per_class=4, samples=8)) == 0
+    capsys.readouterr()
+    assert run("train", "--data", full, "--kind", kind, flag, "inf", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got inf\n"
+    assert not out.exists()
+
+
 # Frozen once from the first implementation run with the seeds used below
 # (synth 1234, split 7, net 7): the CLI-level pipeline regression value.
 PIPELINE_FROZEN_SUCCESS_RATE = 1.0
@@ -347,10 +401,8 @@ def _one_pair_fewer(doc):
 
 def _resize(doc, name, delta):
     """Drop (delta < 0) or repeat (delta > 0) the last entries of a 1-D array."""
-    obj = doc["payload"][name]
-    raw = base64.b64decode(obj["data"])
-    raw = raw[: len(raw) + 8 * delta] if delta < 0 else raw + raw[-8 * delta:]
-    obj["data"], obj["shape"] = base64.b64encode(raw).decode("ascii"), [obj["shape"][0] + delta]
+    array = doc["payload"][name]
+    doc["payload"][name] = array[:len(array) + delta] if delta < 0 else np.append(array, array[-delta:])
 
 
 @pytest.mark.parametrize("corrupt, kind", [
@@ -370,9 +422,9 @@ def _resize(doc, name, delta):
 def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
     flags = {"tree": ["--min-parent", 2], "net": ["--max-iter", 2, "--hidden1", 8, "--hidden2", 4]}
     model, test = _train_cli_model(tmp_path, kind, *flags.get(kind, []))
-    doc = json.loads(model.read_text())
+    doc = _read_model(model)
     corrupt(doc)
-    model.write_text(json.dumps(doc))
+    _write_model(model, doc)
     # A separate process, so a model that routes forever fails by timeout
     # instead of hanging the suite.
     src = os.path.dirname(os.path.dirname(perfprint.__file__))
@@ -385,6 +437,33 @@ def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"error: {model}: ")
     assert "Traceback" not in proc.stderr
+
+
+def _edit_descriptor(key, value):
+    def edit(line, data):
+        doc = json.loads(line)
+        doc["payload"]["biases"][key] = value
+        return json.dumps(doc).encode(), data
+    return edit
+
+
+# Version-2 layouts that `load_model` refuses before it reads an array.
+@pytest.mark.parametrize("corrupt", [
+    lambda line, data: (line, data[:-1]),
+    lambda line, data: (line, data + b"\0"),
+    _edit_descriptor("offset", 8),
+    _edit_descriptor("dtype", "<f4"),
+    _edit_descriptor("shape", [10**15]),
+], ids=["truncated-data", "trailing-byte", "offset-moved", "dtype-f4", "huge-shape"])
+def test_evaluate_on_a_corrupt_layout_exits_three(tmp_path, capsys, corrupt):
+    model, test = _train_cli_model(tmp_path, "svm")
+    line, _, data = model.read_bytes().partition(b"\n")
+    line, data = corrupt(line, data)
+    model.write_bytes(line + b"\n" + data)
+    capsys.readouterr()
+    assert run("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r") == 3
+    assert capsys.readouterr().err.startswith(f"error: {model}: corrupt 'svm' model: ")
+    assert not (tmp_path / "r").exists()
 
 
 # The trainer keywords crossval records, in the order it writes them.
@@ -430,7 +509,7 @@ def test_evaluate_on_narrower_data_exits_three(tmp_path, capsys, kind):
     assert run("train", "--data", full, "--kind", kind, "--out", model,
                *(["--min-parent", 2] if kind == "tree" else [])) == 0
     if kind == "tree":  # a tree is only rejected when it splits past the width
-        nodes = json.loads(model.read_text())["payload"]["nodes"]
+        nodes = _envelope(model)["payload"]["nodes"]
         assert max(n["feature"] for n in nodes if "feature" in n) >= 40
     capsys.readouterr()
     assert run("evaluate", "--data", half, "--model", model, "--out-dir", tmp_path / "r") == 3
@@ -445,7 +524,7 @@ def test_evaluate_tree_on_data_holding_its_split_features(tmp_path):
     assert run(*synth_args(full, classes=3, per_class=4, samples=40)) == 0
     assert run("prep", "--data", full, "--downsample", 2, "--out", half) == 0
     assert run("train", "--data", full, "--kind", "tree", "--min-parent", 2, "--out", model) == 0
-    nodes = json.loads(model.read_text())["payload"]["nodes"]
+    nodes = _envelope(model)["payload"]["nodes"]
     assert max(n["feature"] for n in nodes if "feature" in n) < 40
     assert run("evaluate", "--data", half, "--model", model, "--out-dir", tmp_path / "r") == 0
 

@@ -1,15 +1,17 @@
 """Uniform contract shared by all four model kinds, plus persistence."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from perfprint.classifiers import io, load_model, make_trainer, save_model
+from perfprint.classifiers import io, load_model, make_trainer, net, save_model
 from perfprint.dataset import write_json
 from perfprint.errors import DataError
 
 from helpers import build_dataset, random_dataset
+from oracles import save_model_v1
 
 KINDS_AND_PARAMS = [
     ("knn", {"k": 3}),
@@ -105,11 +107,18 @@ ODD_TEXT = ['quo"te', "back\\slash", "é ü 漢", "line\u2028sep", "ctrl\x01"]
 
 @pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
 def test_save_model_writes_the_bytes_write_json_writes(toy, tmp_path, kind, params):
+    """A version-2 file is the envelope as `write_json` writes it, then each
+    payload array's little-endian float64 bytes, in payload order."""
     d, _ = toy
     labels = [ODD_TEXT[i % 4] for i in range(len(d))]
     model = make_trainer(kind, **params)(build_dataset(d.feature_matrix(), labels))
     provenance = {"train_data": ODD_TEXT, "rows": [1.5, None, True, -0.0], ODD_TEXT[4]: {}}
     save_model(model, str(tmp_path / "saved.json"), provenance=provenance)
+    payload, data = model.to_payload(), b""
+    for name, value in payload.items():
+        if isinstance(value, np.ndarray):
+            payload[name] = {"dtype": "<f8", "shape": list(value.shape), "offset": len(data)}
+            data += value.astype("<f8").tobytes()
     write_json(str(tmp_path / "written.json"), {
         "format": io.FILE_FORMAT,
         "version": io.FILE_VERSION,
@@ -118,10 +127,74 @@ def test_save_model_writes_the_bytes_write_json_writes(toy, tmp_path, kind, para
         "seed": model.seed,
         "hyperparams": model.hyperparams,
         "provenance": provenance,
-        "payload": model.to_payload(),
+        "diagnostics": model.diagnostics(),
+        "payload": payload,
     })
-    assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "written.json").read_bytes()
+    saved = (tmp_path / "saved.json").read_bytes()
+    assert saved == (tmp_path / "written.json").read_bytes() + data
+    assert json.loads(saved.partition(b"\n")[0])["version"] == 2
+    assert (kind == "tree") == (not data)  # a tree's payload holds no array
     assert load_model(str(tmp_path / "saved.json")).classes == sorted(set(labels))
+
+
+def _bits(value):
+    """`value` with each float as its hex form, so that == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
+def test_a_reloaded_model_keeps_its_diagnostics(toy, tmp_path, kind, params):
+    d, _ = toy
+    model = make_trainer(kind, **params)(d)
+    save_model(model, str(tmp_path / "m.json"))
+    loaded = load_model(str(tmp_path / "m.json"))
+    assert _bits(loaded.diagnostics()) == _bits(model.diagnostics())
+    if kind == "svm":
+        assert len(loaded.solve_stats) == len(loaded.pairs)
+        assert _bits(loaded.solve_stats) == _bits(model.solve_stats)
+        assert loaded.solve_summary() == model.solve_summary()
+    if kind == "tree":
+        assert len(loaded.split_gains) == sum("feature" in n for n in loaded.nodes) > 0
+    if kind == "net":
+        assert list(loaded.loss_history) == list(loaded.stop_reasons) == list(net._STAGES)
+        assert _bits(loaded.loss_history) == _bits(model.loss_history)
+
+
+def test_each_net_stage_records_why_it_stopped(toy, tmp_path, monkeypatch):
+    # A rate floor of 1 stops the first autoencoder, whose huge first
+    # steps are all rejected, long before its budget.
+    monkeypatch.setattr(net, "_MIN_LEARNING_RATE", 1.0)
+    model = make_trainer("net", seed=2, max_iterations=30, hidden1=12, hidden2=6,
+                         learning_rate=1e3)(toy[0])
+    assert model.stop_reasons == {"autoencoder1": "rate underflow", "autoencoder2": "budget",
+                                  "softmax": "budget", "finetune": "budget"}
+    assert len(model.loss_history["autoencoder1"]) < 31
+    assert [len(model.loss_history[s]) for s in net._STAGES[1:]] == [31, 31, 31]
+    save_model(model, str(tmp_path / "m.json"))
+    assert load_model(str(tmp_path / "m.json")).stop_reasons == model.stop_reasons
+
+
+@pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
+def test_a_version_1_file_loads_and_ranks_as_version_2(toy, tmp_path, kind, params):
+    d, queries = toy
+    model = make_trainer(kind, **params)(d)
+    save_model_v1(model, str(tmp_path / "v1.json"), provenance={"train_data": "toy"})
+    save_model(model, str(tmp_path / "v2.json"), provenance={"train_data": "toy"})
+    v1, v2 = load_model(str(tmp_path / "v1.json")), load_model(str(tmp_path / "v2.json"))
+    assert (v1.kind, v1.classes, v1.hyperparams, v1.provenance) == (
+        v2.kind, v2.classes, v2.hyperparams, v2.provenance)
+    assert not any(v1.diagnostics().values())  # version 1 holds none
+    np.testing.assert_array_equal(v1.rank_classes_many(queries), v2.rank_classes_many(queries))
+    # Resaved, it is a version-2 file that ranks alike.
+    save_model(v1, str(tmp_path / "resaved.json"))
+    resaved = load_model(str(tmp_path / "resaved.json"))
+    np.testing.assert_array_equal(resaved.rank_classes_many(queries), v2.rank_classes_many(queries))
 
 
 def test_failed_save_leaves_the_old_model_file(toy, tmp_path, monkeypatch):
