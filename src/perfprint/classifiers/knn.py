@@ -18,6 +18,12 @@ class KnnModel(Model):
         self.train_x = np.asarray(train_x, dtype=np.float64).view()
         self.train_x.flags.writeable = False
         self._train_sq = (self.train_x * self.train_x).sum(axis=1)
+        # An overflowing norm makes every distance to its row nan or inf,
+        # and the ranking silently wrong. Training and load_model both
+        # build through here, so both refuse it.
+        if not np.isfinite(self._train_sq).all():
+            raise DataError("knn: the training features must be finite and small enough "
+                            "that their squares are")
         self.train_y = np.asarray(train_y, dtype=np.int64)
         self.k = int(k)
 
@@ -43,12 +49,13 @@ class KnnModel(Model):
 
     def _distances(self, X: np.ndarray) -> np.ndarray:
         # ||a-b||^2 = |a|^2 + |b|^2 - 2ab, clipped against tiny negatives.
+        # np.clip(sq, 0.0, None) is this same maximum, behind a slower call.
         sq = (
             (X * X).sum(axis=1)[:, None]
             + self._train_sq[None, :]
             - 2.0 * (X @ self.train_x.T)
         )
-        return np.sqrt(np.clip(sq, 0.0, None))
+        return np.sqrt(np.maximum(sq, 0.0))
 
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
         """Voted classes first by (votes, mean distance, class index); the
@@ -60,6 +67,9 @@ class KnnModel(Model):
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         dists = self._distances(X)
+        if not np.isfinite(dists).all():
+            raise DataError("knn: a query's distances are not finite; its features must be "
+                            "finite and small enough that their squares are")
         n_train = self.train_x.shape[0]
         rows = np.arange(n_train)
         out = np.empty((X.shape[0], self.n_classes), dtype=np.int64)

@@ -9,17 +9,24 @@ measurement (`label,feature_0,...`), floats at 9 significant digits. Every
 feature is finite: `nan` and infinities are refused on write and on load.
 
 Rows whose values are all integers below 1e9 in magnitude (counter
-samples) are written as plain integers, the same text `%.9g` gives.
+samples) are written through `%d`, the same text `%.9g` gives.
 
-Loading parses every row body in one `np.loadtxt` call. A file that call
-cannot read exactly as the per-line parser would (a malformed row, a
-non-finite value, a token only Python's `float` accepts) is parsed again
-line by line, which names the first bad line in its DataError.
+Loading parses every row body in one `np.loadtxt` call. A file with no
+`-`, `.`, `e` or `E` in any row body (a file of counter rows) is read by
+the integer parser and cast to float64, which is exact: each token is a
+plain non-negative integer, and int64 -> float64 rounds to nearest-even as
+the float parser rounds the same decimal. A file the integer parser
+refuses (a token above int64, `inf`) and every other file are read by the
+float parser. A file that call cannot read exactly as the per-line parser
+would (a malformed row, a non-finite value, a token only Python's `float`
+accepts) is parsed again line by line, which names the first bad line in
+its DataError.
 
 Every dataset write is atomic: the file is written beside its target and
 renamed over it, so a failed write leaves the old file as it was. Appending
-a measurement re-validates the whole file as `load` does, but re-writes only
-the header and the new row; the existing rows are copied as they stand.
+a measurement re-reads and re-validates the whole file as `load` does, but
+re-writes only the header and the new row; the existing rows are copied as
+they stand.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import itertools
 import json
 import os
 import shutil
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,16 +269,21 @@ def kfold(d: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
 
 
 def _format_row(m: Measurement) -> str:
-    """`label,feature_0,...`; a row with no features is its label alone."""
+    """`label,feature_0,...`, each feature as `%.9g` prints it; a row with
+    no features is its label alone.
+
+    A row of integers below 1e9 in magnitude goes through `%d` on int64
+    values instead, which gives the same text faster. -0.0 is left to
+    `%.9g`, which keeps its sign.
+    """
     x = m.features
     if not x.size:
         return m.label + "\n"
-    # An integer below 1e9 in magnitude prints as `%.9g` prints it, but
-    # faster; -0.0 is left to `%.9g`, which keeps its sign.
     if (np.abs(x) < 1e9).all() and (np.trunc(x) == x).all() and not np.signbit(x[x == 0]).any():
-        return m.label + "," + ",".join(map(str, x.astype(np.int64).tolist())) + "\n"
-    values = x.tolist()
-    return m.label + "," + (",".join(["%.9g"] * len(values)) % tuple(values)) + "\n"
+        fmt, values = "%d", x.astype(np.int64).tolist()
+    else:
+        fmt, values = "%.9g", x.tolist()
+    return m.label + "," + (",".join([fmt] * len(values)) % tuple(values)) + "\n"
 
 
 def _header_line(d: Dataset) -> str:
@@ -431,10 +444,21 @@ def _parse_rows_bulk(rows: list[str], length, row_meta) -> list[Measurement] | N
     """Every row body parsed by one `np.loadtxt` call, or None when the
     result might differ from what `_parse_rows_one_by_one` returns.
 
-    It is kept only when each row holds `length` finite features and
-    `row_meta`, if present, has one entry per row. Any other file, and any
-    token loadtxt refuses, goes to the per-line parser, which raises the
-    error or accepts the tokens only Python's `float` reads (`1_0`, `١`).
+    Bodies with no `-`, `.`, `e` or `E` (counter rows) are read by the
+    integer parser, whose grammar (optional `+`, digits, surrounding
+    whitespace) is a subset of the float parser's with the same values,
+    and cast to float64: exact, since int64 -> float64 rounds to
+    nearest-even as the float parser does. Keeping `-` out keeps `-0` from
+    reading as +0.0; keeping `.eE` out keeps float tokens from the integer
+    dtype. When the integer parser refuses a token (above int64, `inf`),
+    or a body holds one of those characters, the float parser reads the
+    file instead.
+
+    The result is kept only when each row holds `length` finite features
+    and `row_meta`, if present, has one entry per row. Any other file, and
+    any token loadtxt refuses, goes to the per-line parser, which raises
+    the error or accepts the tokens only Python's `float` reads (`1_0`,
+    `١`).
     """
     split = [row.partition(",") for row in rows]
     bodies = [body for _, _, body in split]
@@ -444,10 +468,14 @@ def _parse_rows_bulk(rows: list[str], length, row_meta) -> list[Measurement] | N
         return None
     if row_meta is not None and len(row_meta) != len(rows):
         return None
-    try:
-        x = np.loadtxt(bodies, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
+    x = None
+    if not any(c in body for body in bodies for c in "-.eE"):
+        x = _loadtxt_int(bodies)
+    if x is None:
+        try:
+            x = np.loadtxt(bodies, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return None
     if x.shape != (len(rows), length) or not np.isfinite(x).all():
         return None
     metas = row_meta if row_meta is not None else [{} for _ in rows]
@@ -455,6 +483,20 @@ def _parse_rows_bulk(rows: list[str], length, row_meta) -> list[Measurement] | N
         Measurement(label=label, features=features, meta=meta)
         for (label, _, _), features, meta in zip(split, x, metas)
     ]
+
+
+def _loadtxt_int(bodies: list[str]) -> np.ndarray | None:
+    """`bodies` read by loadtxt's integer parser, as float64; None when it
+    refuses a token. Older numpy (from 1.23) reads such a token through
+    its float parser with only a DeprecationWarning, and casts `inf` or a
+    value above int64 to a wrong integer, so that warning is a refusal."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            counts = np.loadtxt(bodies, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    return counts.astype(np.float64)
 
 
 def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta) -> list[Measurement]:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from perfprint.classifiers import train_knn
-from perfprint.errors import ConfigError
+from perfprint.classifiers.knn import KnnModel
+from perfprint.errors import ConfigError, DataError
 
 from helpers import build_dataset, random_dataset
 from oracles import knn_rank
@@ -83,3 +84,26 @@ def test_batch_prediction_matches_single():
     batch = model.predict_topk_many(queries, 3)
     single = [model.predict_topk(q, 3) for q in queries]
     assert batch == single
+
+
+def test_a_training_row_whose_square_overflows_is_refused():
+    # 1e200 squared is inf: the exact match (1e200, 0) 'b' would get a nan
+    # distance and rank last, behind 'a' and 'c', with no error.
+    d = build_dataset([[0.0, 0.0], [1e200, 0.0], [5.0, 5.0]], ["a", "b", "c"])
+    with np.errstate(over="ignore"):
+        with pytest.raises(DataError, match="knn: the training features must be finite"):
+            train_knn(d, k=1)
+        # load_model builds through the same constructor, so it refuses too.
+        with pytest.raises(DataError, match="knn: the training features must be finite"):
+            KnnModel.from_payload(["a", "b", "c"], {"k": 1, "train_x": d.feature_matrix(),
+                                                    "train_y": [0, 1, 2]}, {"k": 1}, None)
+
+
+def test_a_query_whose_distances_overflow_is_refused():
+    model = train_knn(build_dataset([[0.0, 0.0], [5.0, 5.0]], ["a", "c"]), k=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataError, match="knn: a query's distances are not finite"):
+            model.rank_classes_many([[1.0, 1.0], [1e200, 0.0]])
+    # A query whose square is finite still ranks; at this size the two
+    # distances round equal, and the tie goes to the lower class index.
+    assert model.rank_classes_many([[1e150, 0.0]]).tolist() == [[0, 1]]

@@ -519,6 +519,20 @@ def test_evaluate_on_narrower_data_exits_three(tmp_path, capsys, kind):
     assert not (tmp_path / "r").exists()
 
 
+def test_evaluate_knn_on_a_query_whose_square_overflows_exits_three(tmp_path, capsys):
+    model, test = _train_cli_model(tmp_path, "knn")
+    d = dataset.load(str(test))
+    x = d.feature_matrix().copy()
+    x[0, 0] = 1e200
+    dataset.save(d.with_features(x, normalization=d.normalization), str(test))
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: knn: a query's distances are not finite")
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_tree_on_data_holding_its_split_features(tmp_path):
     full, half, model = tmp_path / "full.csv", tmp_path / "half.csv", tmp_path / "m.json"
     assert run(*synth_args(full, classes=3, per_class=4, samples=40)) == 0

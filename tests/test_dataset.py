@@ -317,18 +317,25 @@ def _header(**overrides):
 
 def test_append_gives_the_same_bytes_as_save(tmp_path):
     rng = np.random.default_rng(13)
-    meta = {"scenario": "TorIntel", "events": ["instructions"], "samples_per_event": 7}
-    measurements = [
-        Measurement(label=f"site-{i % 3}", features=rng.normal(size=7) * 10.0 ** (i - 3),
-                    meta={"visit": i})
-        for i in range(6)
-    ]
-    appended = tmp_path / "appended.csv"
-    for m in measurements:
-        dataset.append_measurement(str(appended), m, dataset_meta=meta)
-    saved = tmp_path / "saved.csv"
-    dataset.save(Dataset(measurements=tuple(measurements), meta=meta), str(saved))
-    assert appended.read_bytes() == saved.read_bytes()
+    scaled = [rng.normal(size=7) * 10.0 ** (i - 3) for i in range(6)]
+    # Counter rows as wide as a campaign's, one also holding a count of 1e9
+    # or more (written by `%.9g`) and one a -0.0 (whose sign `%.9g` keeps).
+    counts = rng.integers(0, 10**6, size=(6, 30_000)).astype(np.float64)
+    counts[2, 17] = 1_234_567_890.0
+    counts[4, 29_999] = -0.0
+    for name, x in [("scaled", scaled), ("counts", counts)]:
+        meta = {"scenario": "TorIntel", "events": ["instructions"], "samples_per_event": len(x[0])}
+        measurements = [
+            Measurement(label=f"site-{i % 3}", features=row, meta={"visit": i})
+            for i, row in enumerate(x)
+        ]
+        appended = tmp_path / f"{name}-appended.csv"
+        for m in measurements:
+            dataset.append_measurement(str(appended), m, dataset_meta=meta)
+        saved = tmp_path / f"{name}-saved.csv"
+        dataset.save(Dataset(measurements=tuple(measurements), meta=meta), str(saved))
+        assert appended.read_bytes() == saved.read_bytes(), name
+    assert dataset.load(str(saved)).feature_matrix().tobytes() == counts.tobytes()
 
 
 @pytest.mark.parametrize("header, rows, match", [

@@ -1,6 +1,8 @@
 """Dataset rows parsed in bulk against the per-line reference parser
-(tests/oracles.py), and integer rows written without `%` formatting
-against `%.9g`, on generated files and rows."""
+(tests/oracles.py), and integer rows written through `%d` against `%.9g`,
+on generated files and rows. Files of plain non-negative integers take the
+bulk parser's integer path; the oracle compares the features' bytes, so a
+value read differently there (`-0` as +0.0, a token above int64) fails it."""
 
 import json
 import os
@@ -21,17 +23,22 @@ from oracles import reference_parse
 # derandomize keeps the examples fixed from run to run.
 PROPERTY = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
+# Counter counts: plain non-negative integers, mostly within int64; those
+# above it the integer parser refuses and the float parser reads.
+COUNTS = st.one_of(st.integers(0, 10**12), st.integers(0, 10**20)).map(str)
 NUMBERS = st.one_of(
     st.integers(-10**12, 10**12).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.9g" % v),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    COUNTS,
 )
 # Tokens on which loadtxt and Python's float disagree, or which a careless
 # parser would cut, skip or read as a number.
 ODD_TOKENS = st.sampled_from([
     "1_0", "١", "１", "#3", "1#2", "-0", "1e999", "-1e999", "1e-400", "nan", "-nan",
     "inf", "Infinity", "", " ", "\t", " 1 ", "1\xa0", "1\x1f", "\x1f1", "+1", "1.", ".5",
-    "0x10", '"1"', "1 2",
+    "0x10", '"1"', "1 2", "+0", "007", "9007199254740993", "9223372036854775807",
+    "9223372036854775808", "18446744073709551616",
 ])
 LABELS = st.text(alphabet=" ab#é\x1f1-", max_size=3)
 ROW_KINDS = ["row"] * 6 + ["short", "long", "label-only", "blank", "spaces"]
@@ -42,10 +49,12 @@ def dataset_files(draw):
     """A dataset file's text and its header. A "clean" file is well formed,
     a "token" file has one odd token in an otherwise clean file, and a
     "mixed" file may have odd tokens anywhere, malformed rows and a wrong
-    feature_length."""
+    feature_length. A clean or token file holds either any numbers or
+    only counts."""
     width = draw(st.integers(0, 4))
     mode = draw(st.sampled_from(["clean", "token", "token", "mixed"]))
-    token = st.one_of(NUMBERS, ODD_TOKENS) if mode == "mixed" else NUMBERS
+    numbers = draw(st.sampled_from([NUMBERS, COUNTS]))
+    token = st.one_of(NUMBERS, ODD_TOKENS) if mode == "mixed" else numbers
     rows = []  # a row is its label and its tokens; None is a blank line
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(ROW_KINDS)) if mode == "mixed" else "row"
@@ -125,6 +134,44 @@ def test_a_well_formed_file_never_needs_the_per_line_parser(tmp_path, monkeypatc
 
     monkeypatch.setattr(dataset, "_parse_rows_one_by_one", refuse)
     assert _outcome(dataset._parse, str(path)) == _outcome(reference_parse, str(path))
+
+
+def _loadtxt_dtypes(monkeypatch, path):
+    """The dtype of each np.loadtxt call that loading `path` makes; the
+    per-line parser must not run."""
+    dtypes, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        dtypes.append(np.dtype(kwargs["dtype"]))
+        return loadtxt(*args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("per-line parser ran")
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(dataset, "_parse_rows_one_by_one", refuse)
+    assert _outcome(dataset._parse, str(path)) == _outcome(reference_parse, str(path))
+    return dtypes
+
+
+def test_a_counter_file_is_read_by_one_integer_loadtxt_call(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    rng = np.random.default_rng(5)
+    counts = rng.integers(0, 10**9, size=(4, 300)).astype(np.float64)
+    dataset.save(Dataset(measurements=tuple(
+        Measurement(label=f"s{i % 2}", features=row, meta={"visit": i})
+        for i, row in enumerate(counts))), str(path))
+    assert [dt.kind for dt in _loadtxt_dtypes(monkeypatch, path)] == ["i"]
+
+
+def test_a_normalized_file_makes_no_integer_attempt(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    rng = np.random.default_rng(6)
+    d = Dataset(measurements=tuple(
+        Measurement(label=f"s{i % 2}", features=rng.integers(0, 10**6, size=300))
+        for i in range(6)))
+    dataset.save(dataset.normalize_fit(d), str(path))
+    assert _loadtxt_dtypes(monkeypatch, path) == [np.dtype(np.float64)]
 
 
 @pytest.mark.parametrize("rows", [
