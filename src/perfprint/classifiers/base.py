@@ -58,20 +58,12 @@ class Model:
         return self.rank_classes_many(np.asarray(x, dtype=np.float64)[None, :])[0]
 
     def predict_topk(self, x, g: int) -> list[str]:
-        return self.predict_topk_many(np.asarray(x, dtype=np.float64)[None, :], g)[0]
+        if g < 1:
+            raise DataError(f"top-k size must be >= 1, got {g}")
+        return [self.classes[i] for i in self.rank_classes(x)[:g]]
 
     def predict(self, x) -> str:
         return self.predict_topk(x, 1)[0]
-
-    def predict_topk_many(self, X, g: int) -> list[list[str]]:
-        if g < 1:
-            raise DataError(f"top-k size must be >= 1, got {g}")
-        rankings = self.rank_classes_many(np.asarray(X, dtype=np.float64))
-        g = min(g, self.n_classes)
-        return [[self.classes[i] for i in row[:g]] for row in rankings]
-
-    def predict_many(self, X) -> list[str]:
-        return [row[0] for row in self.predict_topk_many(X, 1)]
 
     def diagnostics(self) -> dict:
         """How training went, as deterministic JSON values."""

@@ -17,7 +17,8 @@ class KnnModel(Model):
         # stale; the norms are derived state and never saved.
         self.train_x = np.asarray(train_x, dtype=np.float64).view()
         self.train_x.flags.writeable = False
-        self._train_sq = (self.train_x * self.train_x).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._train_sq = (self.train_x * self.train_x).sum(axis=1)
         # An overflowing norm makes every distance to its row nan or inf,
         # and the ranking silently wrong. Training and load_model both
         # build through here, so both refuse it.
@@ -50,12 +51,13 @@ class KnnModel(Model):
     def _distances(self, X: np.ndarray) -> np.ndarray:
         # ||a-b||^2 = |a|^2 + |b|^2 - 2ab, clipped against tiny negatives.
         # np.clip(sq, 0.0, None) is this same maximum, behind a slower call.
-        sq = (
-            (X * X).sum(axis=1)[:, None]
-            + self._train_sq[None, :]
-            - 2.0 * (X @ self.train_x.T)
-        )
-        return np.sqrt(np.maximum(sq, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = (
+                (X * X).sum(axis=1)[:, None]
+                + self._train_sq[None, :]
+                - 2.0 * (X @ self.train_x.T)
+            )
+            return np.sqrt(np.maximum(sq, 0.0))
 
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
         """Voted classes first by (votes, mean distance, class index); the
@@ -70,8 +72,8 @@ class KnnModel(Model):
         if not np.isfinite(dists).all():
             raise DataError("knn: a query's distances are not finite; its features must be "
                             "finite and small enough that their squares are")
-        n_train = self.train_x.shape[0]
-        rows = np.arange(n_train)
+        rows = np.arange(self.train_x.shape[0])
+        class_ids = np.arange(self.n_classes)
         out = np.empty((X.shape[0], self.n_classes), dtype=np.int64)
         for q in range(X.shape[0]):
             d = dists[q]
@@ -82,13 +84,8 @@ class KnnModel(Model):
             dist_sum = np.bincount(nearest_y, weights=d[nearest], minlength=self.n_classes)
             class_min = np.full(self.n_classes, np.inf)
             np.minimum.at(class_min, self.train_y, d)
-
-            voted = np.flatnonzero(votes > 0)
-            mean_dist = dist_sum[voted] / votes[voted]
-            voted_order = voted[np.lexsort((voted, mean_dist, -votes[voted]))]
-            unvoted = np.flatnonzero(votes == 0)
-            unvoted_order = unvoted[np.lexsort((unvoted, class_min[unvoted]))]
-            out[q] = np.concatenate([voted_order, unvoted_order])
+            distance = np.where(votes > 0, dist_sum / np.maximum(votes, 1), class_min)
+            out[q] = np.lexsort((class_ids, distance, -votes, votes == 0))
         return out
 
 

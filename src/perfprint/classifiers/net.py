@@ -400,14 +400,7 @@ def train_net(
 
     model = AutoencoderNetModel(
         classes=classes,
-        weights={
-            "w1": stack[0],
-            "b1": stack[1],
-            "w2": stack[2],
-            "b2": stack[3],
-            "ws": stack[4],
-            "bs": stack[5],
-        },
+        weights=dict(zip(_LAYERS, stack)),
         hyperparams={
             "hidden1": int(h1),
             "hidden2": int(h2),

@@ -272,7 +272,8 @@ def train_svm(
     y = train.label_indices(classes)
     pairs = list(itertools.combinations(range(len(classes)), 2))
     xa = _with_ones(X)
-    gram = xa @ xa.T  # one product for all pairs, sliced per pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = xa @ xa.T  # one product for all pairs, sliced per pair
     if not np.isfinite(gram).all():
         raise DataError("svm: the features must be finite and small enough that their "
                         "squares are")

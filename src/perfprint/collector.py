@@ -4,9 +4,11 @@ This is the only platform-gated module: everything downstream consumes
 recorded traces. On systems without the interface, `collect` raises
 `InterfaceUnavailableError` and the rest of the package works normally.
 
-Counters are opened one file descriptor per event (no grouping, no
-multiplexing), enabled together, and read in a deadline-paced loop; stored
-samples are per-interval deltas of the cumulative counts.
+Counters are opened one file descriptor per event, ungrouped, enabled
+together, and read in a deadline-paced loop; stored samples are
+per-interval deltas of the cumulative counts. Nothing keeps the kernel
+from multiplexing the counters when they outnumber the hardware slots,
+and nothing detects it: the counts are taken as read.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from .errors import (
     ProcessWaitTimeoutError,
     UnsupportedEventError,
 )
-from .events import CollectorConfig, EventSpec
+from .events import GENERIC_HARDWARE, HARDWARE_CACHE, CollectorConfig, EventSpec
 
 PARANOID_PATH = "/proc/sys/kernel/perf_event_paranoid"
 
 _SYSCALL_NR = {"x86_64": 298, "aarch64": 241, "riscv64": 241, "arm": 364, "armv7l": 364}
 
-_PERF_TYPE_HARDWARE = 0
-_PERF_TYPE_HW_CACHE = 3
+_PERF_TYPE = {GENERIC_HARDWARE: 0, HARDWARE_CACHE: 3}  # attr.type per event kind
 
 _PERF_EVENT_IOC_ENABLE = 0x2400
 _PERF_EVENT_IOC_DISABLE = 0x2401
@@ -45,17 +46,17 @@ _PERF_EVENT_IOC_DISABLE = 0x2401
 _FLAG_DISABLED = 1 << 0
 _FLAG_EXCLUDE_KERNEL = 1 << 5
 
-# config values: plain ids for generic hardware events; cache events encode
-# (cache id) | (read op << 8) | (access result << 16), all zero here except
-# the cache id, since every cache event we use is a load-access count.
+# attr.config per event: plain ids for generic hardware events; cache events
+# encode (cache id) | (read op << 8) | (access result << 16), all zero here
+# except the cache id, since every cache event we use is a load-access count.
 _EVENT_CONFIG = {
-    "instructions": (_PERF_TYPE_HARDWARE, 1),
-    "branch-instructions": (_PERF_TYPE_HARDWARE, 4),
-    "cache-references": (_PERF_TYPE_HARDWARE, 2),
-    "bus-cycles": (_PERF_TYPE_HARDWARE, 6),
-    "l1d-loads": (_PERF_TYPE_HW_CACHE, 0),
-    "l1i-loads": (_PERF_TYPE_HW_CACHE, 1),
-    "llc-loads": (_PERF_TYPE_HW_CACHE, 2),
+    "instructions": 1,
+    "branch-instructions": 4,
+    "cache-references": 2,
+    "bus-cycles": 6,
+    "l1d-loads": 0,
+    "l1i-loads": 1,
+    "llc-loads": 2,
 }
 
 
@@ -86,6 +87,12 @@ class AccessLevel(enum.Enum):
         if core_wide:
             return self in (AccessLevel.FULL_INCLUDING_KERNEL, AccessLevel.NO_KERNEL_DETAIL)
         return True
+
+
+def _required_paranoid(core_wide: bool) -> str:
+    """The perf_event_paranoid setting a scope needs, read off `allows`."""
+    highest = max(n for n in range(-1, 4) if AccessLevel.from_paranoid(n).allows(core_wide))
+    return f"{highest} or lower"
 
 
 @dataclass
@@ -214,10 +221,9 @@ def _open_counter(spec: EventSpec, pid: int, cpu: int) -> int:
         )
     libc = ctypes.CDLL(None, use_errno=True)
     attr = _PerfEventAttr()
-    type_, config = _EVENT_CONFIG[spec.event_name]
-    attr.type = type_
+    attr.type = _PERF_TYPE[spec.kind]
     attr.size = ctypes.sizeof(_PerfEventAttr)
-    attr.config = config
+    attr.config = _EVENT_CONFIG[spec.event_name]
     attr.flags = _FLAG_DISABLED | _FLAG_EXCLUDE_KERNEL
     fd = libc.syscall(
         ctypes.c_long(_SYSCALL_NR[arch]),
@@ -231,7 +237,7 @@ def _open_counter(spec: EventSpec, pid: int, cpu: int) -> int:
         return fd
     err = ctypes.get_errno()
     if err in (13, 1):  # EACCES, EPERM
-        required = "1 or lower" if cpu >= 0 else "2 or lower"
+        required = _required_paranoid(core_wide=cpu >= 0)
         raise PermissionDeniedError(
             f"permission denied opening counter for {spec.event_name!r}: "
             f"requires perf_event_paranoid {required} (or CAP_SYS_ADMIN)",
@@ -267,9 +273,10 @@ def _check_access(config: CollectorConfig):
     if hasattr(os, "geteuid") and os.geteuid() == 0:
         return
     level = detect_access_level()
-    if not level.allows(core_wide=config.scope.is_core_wide):
-        wanted = "core-wide" if config.scope.is_core_wide else "process-specific"
-        required = "1 or lower" if config.scope.is_core_wide else "2 or lower"
+    core_wide = config.scope.is_core_wide
+    if not level.allows(core_wide):
+        wanted = "core-wide" if core_wide else "process-specific"
+        required = _required_paranoid(core_wide)
         raise PermissionDeniedError(
             f"{wanted} collection not permitted at access level {level.value}; "
             f"requires perf_event_paranoid {required}",

@@ -470,13 +470,10 @@ def _parse_rows_bulk(rows: list[str], length, row_meta) -> list[Measurement] | N
         return None
     x = None
     if not any(c in body for body in bodies for c in "-.eE"):
-        x = _loadtxt_int(bodies)
+        x = _loadtxt(bodies, np.int64)
     if x is None:
-        try:
-            x = np.loadtxt(bodies, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            return None
-    if x.shape != (len(rows), length) or not np.isfinite(x).all():
+        x = _loadtxt(bodies, np.float64)
+    if x is None or x.shape != (len(rows), length) or not np.isfinite(x).all():
         return None
     metas = row_meta if row_meta is not None else [{} for _ in rows]
     return [
@@ -485,18 +482,19 @@ def _parse_rows_bulk(rows: list[str], length, row_meta) -> list[Measurement] | N
     ]
 
 
-def _loadtxt_int(bodies: list[str]) -> np.ndarray | None:
-    """`bodies` read by loadtxt's integer parser, as float64; None when it
-    refuses a token. Older numpy (from 1.23) reads such a token through
-    its float parser with only a DeprecationWarning, and casts `inf` or a
-    value above int64 to a wrong integer, so that warning is a refusal."""
+def _loadtxt(bodies: list[str], dtype) -> np.ndarray | None:
+    """`bodies` read by loadtxt's parser for `dtype`, as float64; None when
+    it refuses a token. Older numpy (from 1.23) reads a token its integer
+    parser refuses through the float parser with only a DeprecationWarning,
+    and casts `inf` or a value above int64 to a wrong integer, so that
+    warning is a refusal."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            counts = np.loadtxt(bodies, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+            x = np.loadtxt(bodies, delimiter=",", dtype=dtype, comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
-    return counts.astype(np.float64)
+    return x.astype(np.float64, copy=False)
 
 
 def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta) -> list[Measurement]:

@@ -61,18 +61,15 @@ def evaluate(model, test: Dataset, g_max: int | None = None) -> EvalReport:
     if not 1 <= g_max <= n_classes:
         raise ConfigError(f"g_max must be in [1, {n_classes}], got {g_max}")
 
-    class_index = {c: i for i, c in enumerate(model.classes)}
-    rankings = model.predict_topk_many(test.feature_matrix(), g_max)
-    true_labels = test.labels()
-
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    hits_at = np.zeros(g_max, dtype=np.int64)
-    for truth, ranked in zip(true_labels, rankings):
-        confusion[class_index[truth], class_index[ranked[0]]] += 1
-        if truth in ranked:
-            hits_at[ranked.index(truth)] += 1
+    rankings = model.rank_classes_many(test.feature_matrix())[:, :g_max]
+    truth = test.label_indices(model.classes)
 
     n_test = len(test)
+    confusion = np.bincount(
+        truth * n_classes + rankings[:, 0], minlength=n_classes * n_classes
+    ).reshape(n_classes, n_classes)
+    # A ranking holds each class once, so column g sums the hits at guess g+1.
+    hits_at = (rankings == truth[:, None]).sum(axis=0)
     topk_curve = (np.cumsum(hits_at) / n_test).tolist()
     row_totals = confusion.sum(axis=1)
     per_class = {

@@ -29,8 +29,6 @@ EVENT_KINDS = {
 
 EVENT_NAMES = tuple(EVENT_KINDS)
 
-SCENARIO_NAMES = ("ChromeArm", "ChromeIncognitoIntel", "TorIntel")
-
 # Default spacing between counter reads. Each scenario's interval is chosen
 # so its duration yields the expected 25,000 / 10,000 / 50,000 samples per
 # event; both are well above the 1.5-3 us cost of a single counter read, so
@@ -185,6 +183,7 @@ _PRESETS = {
         pattern="tor",
     ),
 }
+SCENARIO_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, read_interval_us: int | None = None) -> ScenarioPreset:

@@ -81,9 +81,9 @@ def test_batch_prediction_matches_single():
     d = random_dataset(rng, 3, 4, 5)
     model = train_knn(d, k=3)
     queries = rng.normal(size=(8, 5))
-    batch = model.predict_topk_many(queries, 3)
-    single = [model.predict_topk(q, 3) for q in queries]
-    assert batch == single
+    batch = model.rank_classes_many(queries)
+    single = [model.rank_classes(q) for q in queries]
+    assert np.array_equal(batch, single)
 
 
 def test_a_training_row_whose_square_overflows_is_refused():

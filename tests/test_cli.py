@@ -1,15 +1,17 @@
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import perfprint
-from perfprint import collector, dataset
+from perfprint import classifiers, cli, collector, dataset
 from perfprint.cli import main
 
 
@@ -526,11 +528,31 @@ def test_evaluate_knn_on_a_query_whose_square_overflows_exits_three(tmp_path, ca
     x[0, 0] = 1e200
     dataset.save(d.with_features(x, normalization=d.normalization), str(test))
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r") == 3
+    assert run("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: knn: a query's distances are not finite")
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("kind", ["knn", "svm"])
+def test_a_feature_whose_square_overflows_prints_only_the_error_line(tmp_path, capsys, kind):
+    # kNN fails when it ranks a test row, SVM when it trains; no numpy
+    # warning may reach stderr ahead of the error line.
+    model, test = _train_cli_model(tmp_path, "knn")
+    data = tmp_path / ("test.csv" if kind == "knn" else "train.csv")
+    d = dataset.load(str(data))
+    x = d.feature_matrix().copy()
+    x[0, 0] = 1e200
+    dataset.save(d.with_features(x, normalization=d.normalization), str(data))
+    argv = (("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r")
+            if kind == "knn" else
+            ("train", "--data", data, "--kind", "svm", "--out", tmp_path / "svm.json"))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_evaluate_tree_on_data_holding_its_split_features(tmp_path):
@@ -560,3 +582,12 @@ def test_a_flag_of_another_kind_exits_two(tmp_path, capsys, command, flag, owner
     err = capsys.readouterr().err
     assert err == f"error: {flag[0]} is a --kind {owner} flag, not one for --kind {command[2]}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(cli._MODEL_FLAGS))
+def test_a_flag_default_is_its_trainers_default(kind):
+    # The table restates the defaults so reports list every hyperparameter
+    # in flag order; None defers to the trainer, which sizes it from data.
+    params = inspect.signature(classifiers._TRAINERS[kind]).parameters
+    restated = {kw: default for _, kw, _, default, _ in cli._MODEL_FLAGS[kind] if default is not None}
+    assert restated == {kw: params[kw].default for kw in restated}

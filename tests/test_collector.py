@@ -1,3 +1,4 @@
+import errno
 import platform
 import subprocess
 import sys
@@ -240,19 +241,73 @@ def test_interval_pacing_hits_expected_sample_count():
     assert abs(raw.samples_per_event - config.expected_samples) <= 1
 
 
-def test_every_counter_excludes_the_kernel(monkeypatch, tmp_path):
-    flags = []
+def _fake_perf_open(monkeypatch, tmp_path, fd=5):
+    """Stand perf_event_open in by a libc whose syscall returns `fd`; the
+    returned list collects the attr each call is given."""
+    attrs = []
 
-    class Libc:  # stands in for perf_event_open, recording the attr it is given
+    class Libc:
         def syscall(self, number, attr, *args):
-            flags.append(attr._obj.flags)
-            return 5
+            attrs.append(attr._obj)
+            return fd
 
     paranoid = tmp_path / "paranoid"
     paranoid.write_text("2\n")
     monkeypatch.setattr(collector, "PARANOID_PATH", str(paranoid))
     monkeypatch.setitem(collector._SYSCALL_NR, platform.machine(), 298)
     monkeypatch.setattr(collector.ctypes, "CDLL", lambda *args, **kwargs: Libc())
+    return attrs
+
+
+def test_every_counter_excludes_the_kernel(monkeypatch, tmp_path):
+    attrs = _fake_perf_open(monkeypatch, tmp_path)
     fds = [collector._open_counter(EventSpec(name), 0, -1) for name in EVENT_NAMES]
     assert fds == [5] * len(EVENT_NAMES)
-    assert flags == [collector._FLAG_DISABLED | collector._FLAG_EXCLUDE_KERNEL] * len(EVENT_NAMES)
+    assert [a.flags for a in attrs] == [
+        collector._FLAG_DISABLED | collector._FLAG_EXCLUDE_KERNEL] * len(EVENT_NAMES)
+
+
+def test_each_event_is_opened_with_its_perf_type_and_config(monkeypatch, tmp_path):
+    # attr.type 0 is PERF_TYPE_HARDWARE and 3 PERF_TYPE_HW_CACHE; a cache
+    # event's config is its cache id, read op and access result both 0.
+    attrs = _fake_perf_open(monkeypatch, tmp_path)
+    for name in EVENT_NAMES:
+        collector._open_counter(EventSpec(name), 0, -1)
+    assert {name: (a.type, a.config) for name, a in zip(EVENT_NAMES, attrs)} == {
+        "instructions": (0, 1),
+        "branch-instructions": (0, 4),
+        "cache-references": (0, 2),
+        "bus-cycles": (0, 6),
+        "l1d-loads": (3, 0),
+        "l1i-loads": (3, 1),
+        "llc-loads": (3, 2),
+    }
+
+
+@pytest.mark.parametrize("core_wide", [False, True])
+@pytest.mark.parametrize("paranoid", range(-1, 5))
+def test_a_refusal_names_the_highest_level_the_policy_admits(monkeypatch, tmp_path, paranoid,
+                                                             core_wide):
+    highest = max(n for n in range(-1, 5) if AccessLevel.from_paranoid(n).allows(core_wide))
+    required = f"{highest} or lower"
+    level = AccessLevel.from_paranoid(paranoid)
+    scope = ProfilingScope.core(0) if core_wide else ProfilingScope.process(1)
+    config = CollectorConfig(events=(EventSpec("instructions"),), scope=scope, duration_s=0.001)
+    monkeypatch.setattr(collector, "detect_access_level", lambda: level)
+    monkeypatch.setattr(collector.os, "geteuid", lambda: 1000)
+    refusals = []
+    if level.allows(core_wide):
+        collector._check_access(config)
+    else:
+        with pytest.raises(PermissionDeniedError) as exc:
+            collector._check_access(config)
+        refusals.append(exc.value)
+    # The kernel refuses the open itself, whatever the check decided.
+    _fake_perf_open(monkeypatch, tmp_path, fd=-1)
+    monkeypatch.setattr(collector.ctypes, "get_errno", lambda: errno.EACCES)
+    with pytest.raises(PermissionDeniedError) as exc:
+        collector._open_counter(EventSpec("instructions"), scope.pid, scope.cpu)
+    refusals.append(exc.value)
+    for refusal in refusals:
+        assert refusal.required_level == required
+        assert f"perf_event_paranoid {required}" in str(refusal)

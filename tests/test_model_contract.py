@@ -60,7 +60,7 @@ def test_same_inputs_same_predictions(toy, kind, params):
     d, queries = toy
     a = make_trainer(kind, **params)(d)
     b = make_trainer(kind, **params)(d)
-    assert a.predict_many(queries) == b.predict_many(queries)
+    assert np.array_equal(a.rank_classes_many(queries), b.rank_classes_many(queries))
 
 
 @pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
@@ -74,9 +74,7 @@ def test_save_load_preserves_predictions(toy, tmp_path, kind, params):
     assert loaded.classes == model.classes
     assert loaded.hyperparams == model.hyperparams
     assert loaded.provenance == {"train_data": "toy"}
-    assert loaded.predict_topk_many(queries, loaded.n_classes) == model.predict_topk_many(
-        queries, model.n_classes
-    )
+    assert np.array_equal(loaded.rank_classes_many(queries), model.rank_classes_many(queries))
 
 
 @pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
