@@ -17,9 +17,6 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from .base import Model, _array, _floats, check_trainable
 
-DEFAULT_MAX_ITERATIONS = 400
-DEFAULT_L2_WEIGHT = 0.001
-DEFAULT_LEARNING_RATE = 0.1
 DEFAULT_MEMORY_BUDGET_MB = 2048.0
 _MIN_LEARNING_RATE = 1e-15
 _LAYERS = ("w1", "b1", "w2", "b2", "ws", "bs")  # payload names, in file order
@@ -328,11 +325,11 @@ def train_net(
     seed: int = 0,
     hidden1: int | None = None,
     hidden2: int | None = None,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    max_iterations: int = 400,
     finetune_iterations: int | None = None,
     softmax_iterations: int | None = None,
-    l2_weight: float = DEFAULT_L2_WEIGHT,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
+    l2_weight: float = 0.001,
+    learning_rate: float = 0.1,
     memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
 ) -> AutoencoderNetModel:
     """Pretrain two autoencoders, train the softmax head, fine-tune the stack.

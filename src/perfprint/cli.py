@@ -1,6 +1,7 @@
 """Batch front end: one subcommand per pipeline step, machine-readable
-outputs, reproducibility metadata (seeds, hyperparameters, input digests)
-embedded in everything it writes.
+outputs. The JSON reports and model files embed the reproducibility
+metadata (seeds, hyperparameters, input digests); the CSV series and the
+datasets `prep` writes do not.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 collection
 permission/interface error.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -56,46 +58,49 @@ def _load_scenario(spec: str):
     )
 
 
-# Each model kind's flags: (flag, trainer keyword, type, default, help), in
-# the order the trainer keywords are written to reports.
+# Each model kind's flags: (flag, trainer keyword, type, help), in the
+# order the trainer keywords are written to reports. A flag not given takes
+# the default of its trainer's keyword.
 _MODEL_FLAGS = {
-    "knn": [("--k", "k", int, 1, "kNN neighbor count")],
+    "knn": [("--k", "k", int, "kNN neighbor count")],
     "tree": [
-        ("--min-leaf", "min_leaf", int, 1, None),
-        ("--min-parent", "min_parent", int, 10, None),
-        ("--max-splits", "max_splits", int, None, "tree split budget (default N-1)"),
+        ("--min-leaf", "min_leaf", int, None),
+        ("--min-parent", "min_parent", int, None),
+        ("--max-splits", "max_splits", int, "tree split budget (default N-1)"),
     ],
     "svm": [
-        ("--C", "c", float, 1.0, "SVM regularization"),
-        ("--tol", "tol", float, classifiers.svm.DEFAULT_TOL, None),
-        ("--max-passes", "max_passes", int, classifiers.svm.DEFAULT_MAX_PASSES,
+        ("--C", "c", float, "SVM regularization"),
+        ("--tol", "tol", float, None),
+        ("--max-passes", "max_passes", int,
          "caps each SVM pair's active-set iterations at min(10*(n+1), this); a pair not "
          "certified within the cap keeps its result and is reported as uncertified"),
     ],
     "net": [
-        ("--train-seed", "seed", int, 0, None),
-        ("--max-iter", "max_iterations", int, classifiers.net.DEFAULT_MAX_ITERATIONS, None),
-        ("--l2", "l2_weight", float, classifiers.net.DEFAULT_L2_WEIGHT, None),
-        ("--lr", "learning_rate", float, classifiers.net.DEFAULT_LEARNING_RATE, None),
-        ("--memory-budget-mb", "memory_budget_mb", float, classifiers.net.DEFAULT_MEMORY_BUDGET_MB, None),
-        ("--hidden1", "hidden1", int, None, "net hidden-1 units (default 100*N)"),
-        ("--hidden2", "hidden2", int, None, "net hidden-2 units (default 10*N)"),
-        ("--softmax-iter", "softmax_iterations", int, None, None),
-        ("--finetune-iter", "finetune_iterations", int, None, None),
+        ("--train-seed", "seed", int, None),
+        ("--max-iter", "max_iterations", int, None),
+        ("--l2", "l2_weight", float, None),
+        ("--lr", "learning_rate", float, None),
+        ("--memory-budget-mb", "memory_budget_mb", float, None),
+        ("--hidden1", "hidden1", int, "net hidden-1 units (default 100*N)"),
+        ("--hidden2", "hidden2", int, "net hidden-2 units (default 10*N)"),
+        ("--softmax-iter", "softmax_iterations", int, None),
+        ("--finetune-iter", "finetune_iterations", int, None),
     ],
 }
 
 
 def _hyperparams(args) -> dict:
-    """The trainer keywords of the chosen kind, defaults filled in; those
-    whose default is None are dropped unless given. A flag of another
-    kind, or a float flag that is not finite, is a ConfigError."""
+    """The trainer keywords of the chosen kind, defaults filled in from the
+    trainer's signature; those whose default is None are dropped unless
+    given. A flag of another kind, or a float flag that is not finite, is a
+    ConfigError."""
+    defaults = inspect.signature(classifiers._TRAINERS[args.kind]).parameters
     values = {}
     for kind, flags in _MODEL_FLAGS.items():
-        for flag, kw, _, default, _ in flags:
+        for flag, kw, _, _ in flags:
             dest = flag[2:].replace("-", "_")
             if kind == args.kind:
-                values[kw] = getattr(args, dest, default)
+                values[kw] = getattr(args, dest, defaults[kw].default)
                 _check_finite(flag, values[kw])
             elif hasattr(args, dest):
                 raise ConfigError(f"{flag} is a --kind {kind} flag, not one for --kind {args.kind}")
@@ -113,7 +118,7 @@ def _add_model_flags(parser):
     # were given.
     parser.add_argument("--kind", required=True, choices=classifiers.MODEL_KINDS)
     for flags in _MODEL_FLAGS.values():
-        for flag, _, type_, _, help_ in flags:
+        for flag, _, type_, help_ in flags:
             parser.add_argument(flag, type=type_, default=argparse.SUPPRESS, help=help_)
 
 
@@ -165,9 +170,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prep(args) -> int:
-    d = dataset.load(args.data)
-    if args.downsample > 1:
-        d = dataset.downsample(d, args.downsample)
+    d = dataset.downsample(dataset.load(args.data), args.downsample)
     if args.split_train:
         if not (args.train_out and args.test_out):
             raise ConfigError("--split-train needs --train-out and --test-out")
@@ -232,7 +235,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_crossval(args) -> int:
     d = dataset.load(args.data)
-    trainer = classifiers.make_trainer(args.kind, **_hyperparams(args))
+    hyperparams = _hyperparams(args)
+    trainer = classifiers.make_trainer(args.kind, **hyperparams)
     result = evaluation.cross_validate(trainer, d, args.folds, args.seed)
     doc = {
         "format": "perfprint-crossval",
@@ -242,7 +246,7 @@ def cmd_crossval(args) -> int:
         "fold_rates": result.fold_rates,
         "folds": args.folds,
         "seed": args.seed,
-        "hyperparams": _hyperparams(args),
+        "hyperparams": hyperparams,
         "data": args.data,
         "data_sha256": _sha256(args.data),
     }
@@ -277,7 +281,8 @@ def cmd_mitigate(args) -> int:
     d = dataset.load(args.data)
     policy = _POLICIES[args.policy](args)
     _check_finite("--sigma", args.sigma)  # the report records it under every policy
-    trainer = classifiers.make_trainer(args.kind, **_hyperparams(args))
+    hyperparams = _hyperparams(args)
+    trainer = classifiers.make_trainer(args.kind, **hyperparams)
     result = mitigation.leakage_report(
         trainer, d, policy, args.n_train, args.n_test, args.split_seed
     )
@@ -291,7 +296,7 @@ def cmd_mitigate(args) -> int:
         "after": evaluation.report_to_dict(result.after),
         "accuracy_delta": result.accuracy_delta,
         "seeds": result.seeds,
-        "hyperparams": _hyperparams(args),
+        "hyperparams": hyperparams,
         "data": args.data,
         "data_sha256": _sha256(args.data),
     }
@@ -398,18 +403,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (PerfprintError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except CollectorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COLLECT
-    except PerfprintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        return EXIT_COLLECT if isinstance(exc, CollectorError) else EXIT_DATA
 
 
 if __name__ == "__main__":

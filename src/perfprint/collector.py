@@ -174,6 +174,8 @@ def await_target_process(
     """
     if not pattern:
         raise ConfigError("process pattern must not be empty")
+    if not timeout_s >= 0:  # also nan, which no deadline test would ever pass
+        raise ConfigError(f"await timeout must be >= 0 seconds, got {timeout_s}")
     needle = pattern.lower()
     baseline = set(scan())
     deadline = time.monotonic() + timeout_s

@@ -46,6 +46,9 @@ from .collector import RawTraceSet
 
 FILE_FORMAT = "perfprint-dataset"
 FILE_VERSION = 1
+# Dataset meta keys the header holds at its top level, in header order;
+# every other meta key goes under "meta".
+_HEADER_META_KEYS = ("scenario", "events", "samples_per_event")
 
 
 @dataclass(frozen=True)
@@ -293,14 +296,8 @@ def _header_line(d: Dataset) -> str:
         "version": FILE_VERSION,
         "feature_length": d.feature_length,
         "classes": d.classes,
-        "scenario": d.meta.get("scenario"),
-        "events": d.meta.get("events"),
-        "samples_per_event": d.meta.get("samples_per_event"),
-        "meta": {
-            k: v
-            for k, v in d.meta.items()
-            if k not in ("scenario", "events", "samples_per_event")
-        },
+        **{key: d.meta.get(key) for key in _HEADER_META_KEYS},
+        "meta": {k: v for k, v in d.meta.items() if k not in _HEADER_META_KEYS},
         "normalization": None,
         "row_meta": row_meta if any(row_meta) else None,
     }
@@ -381,8 +378,11 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
     tokens the bulk parser refuses. Both round correctly, so the features
     are the same bits either way. A header `row_meta` needs one entry per row.
     """
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode the file as text: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty dataset file")
     try:
@@ -434,7 +434,7 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
     meta = dict(header.get("meta") or {})
-    for key in ("scenario", "events", "samples_per_event"):
+    for key in _HEADER_META_KEYS:
         if header.get(key) is not None:
             meta[key] = header[key]
     return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta), rows

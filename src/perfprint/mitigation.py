@@ -95,19 +95,18 @@ def leakage_report(
     n_train_per_class: int,
     n_test_per_class: int,
     split_seed: int,
-    g_max: int | None = None,
 ) -> LeakageReport:
     """Train and evaluate on a clean split, then on the policy-transformed
     split (policy applied to both sides, noise scale taken from the clean
     training set)."""
     train, test = split(clean, n_train_per_class, n_test_per_class, split_seed)
-    before = evaluate(trainer(train), test, g_max)
+    before = evaluate(trainer(train), test)
     # Distinct derived seeds per side, or both sides would receive the same
     # noise stream and test points would sit artificially close to the
     # train points sharing their position.
     mitigated_train = apply(policy, train)
     mitigated_test = apply(replace(policy, seed=policy.seed + 1), test, rms_reference=train)
-    after = evaluate(trainer(mitigated_train), mitigated_test, g_max)
+    after = evaluate(trainer(mitigated_train), mitigated_test)
     return LeakageReport(
         before=before,
         after=after,

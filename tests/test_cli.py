@@ -585,9 +585,60 @@ def test_a_flag_of_another_kind_exits_two(tmp_path, capsys, command, flag, owner
 
 
 @pytest.mark.parametrize("kind", list(cli._MODEL_FLAGS))
-def test_a_flag_default_is_its_trainers_default(kind):
-    # The table restates the defaults so reports list every hyperparameter
-    # in flag order; None defers to the trainer, which sizes it from data.
+def test_every_flag_names_a_parameter_of_its_trainer(kind):
+    # A flag left out takes the default of the trainer keyword it names.
     params = inspect.signature(classifiers._TRAINERS[kind]).parameters
-    restated = {kw: default for _, kw, _, default, _ in cli._MODEL_FLAGS[kind] if default is not None}
-    assert restated == {kw: params[kw].default for kw in restated}
+    assert {kw for _, kw, _, _ in cli._MODEL_FLAGS[kind]} <= set(params)
+
+
+def _bad_path_case(tmp_path, case):
+    """The argv of one bad-path case and the file it must leave alone."""
+    full, model = tmp_path / "full.csv", tmp_path / "m.model"
+    assert run(*synth_args(full, classes=2, per_class=4, samples=8)) == 0
+    assert run("train", "--data", full, "--kind", "knn", "--out", model) == 0
+    a_dir = tmp_path / "a-dir"
+    a_dir.mkdir()
+    not_text = tmp_path / "not-text.csv"
+    not_text.write_bytes(b"\xff" + full.read_bytes())
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    return {
+        "train-data-dir": (["train", "--data", a_dir, "--kind", "knn", "--out", model], model),
+        "prep-data-dir": (["prep", "--data", a_dir, "--out", out], out),
+        "evaluate-data-dir": (["evaluate", "--data", a_dir, "--model", model,
+                               "--out-dir", tmp_path / "r"], tmp_path / "r"),
+        "train-out-dir": (["train", "--data", full, "--kind", "knn", "--out", a_dir], a_dir),
+        "evaluate-out-dir-file": (["evaluate", "--data", full, "--model", model,
+                                   "--out-dir", out], out),
+        "prep-not-text": (["prep", "--data", not_text, "--out", out], out),
+        "prep-downsample-0": (["prep", "--data", full, "--downsample", 0, "--out", out], out),
+        "prep-downsample-neg": (["prep", "--data", full, "--downsample", -4, "--out", out], out),
+        "await-timeout-nan": (["collect", "--scenario", "TorIntel", "--label", "x",
+                               "--await", "tor", "--await-timeout", "nan", "--out", out], out),
+    }[case]
+
+
+# Each path or value the CLI cannot use, and the exit code it ends in.
+@pytest.mark.parametrize("case, code", [
+    ("train-data-dir", 3),
+    ("prep-data-dir", 3),
+    ("evaluate-data-dir", 3),
+    ("train-out-dir", 3),
+    ("evaluate-out-dir-file", 3),
+    ("prep-not-text", 3),
+    ("prep-downsample-0", 2),
+    ("prep-downsample-neg", 2),
+    ("await-timeout-nan", 2),
+])
+def test_a_bad_path_or_value_prints_one_error_line(tmp_path, capsys, case, code):
+    # Whatever the target was before, it still is: no file in its place and
+    # no temp file beside it.
+    argv, target = _bad_path_case(tmp_path, case)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    kept = target.read_bytes() if target.is_file() else None
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+    assert (target.read_bytes() if target.is_file() else None) == kept

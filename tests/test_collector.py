@@ -1,4 +1,5 @@
 import errno
+import math
 import platform
 import subprocess
 import sys
@@ -104,6 +105,15 @@ def test_await_times_out_with_snapshot():
 def test_await_rejects_empty_pattern():
     with pytest.raises(ConfigError):
         collector.await_target_process("", timeout_s=1)
+
+
+@pytest.mark.parametrize("timeout_s", [math.nan, -1.0])
+def test_await_rejects_a_timeout_before_it_scans(timeout_s):
+    def scan():
+        raise AssertionError("scanned")
+
+    with pytest.raises(ConfigError, match="timeout"):
+        collector.await_target_process("tor", timeout_s=timeout_s, scan=scan)
 
 
 def test_await_match_is_case_insensitive_substring():
