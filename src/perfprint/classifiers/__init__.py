@@ -1,5 +1,7 @@
 """The four supervised classifiers behind one train/predict/top-k contract."""
 
+import functools
+
 from .base import Model
 from .io import load_model, save_model
 from .knn import KnnModel, train_knn
@@ -23,12 +25,7 @@ def make_trainer(kind: str, **hyperparams):
     trainer callable, as the evaluation helpers expect."""
     if kind not in _TRAINERS:
         raise ConfigError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    train_fn = _TRAINERS[kind]
-
-    def trainer(dataset):
-        return train_fn(dataset, **hyperparams)
-
-    return trainer
+    return functools.partial(_TRAINERS[kind], **hyperparams)
 
 
 __all__ = [

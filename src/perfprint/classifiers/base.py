@@ -2,8 +2,9 @@
 
 Every model ranks the full class list; predict(x) is predict_topk(x, 1)[0]
 by construction, and predict_topk(x, N) is a permutation of the classes.
-All tie-breaking bottoms out at the lower class index (classes are sorted,
-so indices are stable across runs).
+Every model orders its classes through `rank_by`, the one home of the
+tie-break: ties go to the lower class index (classes are sorted, so indices
+are stable across runs).
 
 A model kind lives in one module. Its class implements one batch ranking
 method, `rank_classes_many(X)`, and owns the payload of its model file:
@@ -73,6 +74,14 @@ class Model:
         """Put back what `diagnostics()` gave; DataError if it does not fit."""
         if diagnostics != {}:
             raise DataError(f"{self.kind} models have no diagnostics")
+
+
+def rank_by(*keys) -> np.ndarray:
+    """Class indices along the last axis, ordered by `keys` (arrays of one
+    shape; most significant first, each ascending), ties to the lower index:
+    lexsort's sort is stable, so classes equal in every key keep their
+    index order."""
+    return np.lexsort(keys[::-1], axis=-1)
 
 
 def _array(value) -> np.ndarray:

@@ -4,12 +4,13 @@ A version-2 file is one line of compact JSON, the envelope, followed by the
 data section. The envelope holds the format, version, kind, classes, seed,
 hyperparameters, provenance, the model's diagnostics (how training went,
 which ranking never reads) and the payload, which the model class of that
-kind writes and reads (`to_payload`, `from_payload`). Each array in the
-payload is written as {"dtype": "<f8", "shape": [...], "offset": N}, and
-its little-endian float64 bytes start N bytes into the data section; the
-arrays lie back to back in payload order. Files written on one machine load
-anywhere, and a file holds no wall-clock time, so identical training runs
-produce identical bytes.
+kind writes and reads (`to_payload`, `from_payload`). The kinds, and the
+class that reads each, come from `MODEL_CLASSES` alone; a file of any other
+kind is refused. Each array in the payload is written as {"dtype": "<f8",
+"shape": [...], "offset": N}, and its little-endian float64 bytes start N
+bytes into the data section; the arrays lie back to back in payload order.
+Files written on one machine load anywhere, and a file holds no wall-clock
+time, so identical training runs produce identical bytes.
 
 `load_model` checks the layout before it allocates an array: each dtype is
 "<f8", each shape a list of non-negative ints, the offsets run back to back
@@ -27,11 +28,17 @@ import numpy as np
 
 from ..dataset import _write_atomic
 from ..errors import DataError
-from .base import Model, _decode
+from .base import _decode
+from .knn import KnnModel
+from .net import AutoencoderNetModel
+from .svm import LinearSvmModel
+from .tree import DecisionTreeModel
 
 FILE_FORMAT = "perfprint-model"
 FILE_VERSION = 2
 _DTYPE = "<f8"
+MODEL_CLASSES = {cls.kind: cls for cls in (KnnModel, DecisionTreeModel, LinearSvmModel,
+                                           AutoencoderNetModel)}
 
 
 def save_model(model, path: str, provenance: dict | None = None):
@@ -99,8 +106,7 @@ def load_model(path: str):
         if type(version) is not int or version not in (1, FILE_VERSION):
             raise DataError(f"{path}: unsupported version {version!r}")
         kind = doc.get("kind")
-        model_classes = {cls.kind: cls for cls in Model.__subclasses__()}
-        if not isinstance(kind, str) or kind not in model_classes:
+        if not isinstance(kind, str) or kind not in MODEL_CLASSES:
             raise DataError(f"{path}: unknown model kind {kind!r}")
         classes, payload = doc.get("classes"), doc.get("payload")
         if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
@@ -114,7 +120,7 @@ def load_model(path: str):
                 payload = {k: _decode(v) if isinstance(v, dict) else v for k, v in payload.items()}
             else:
                 _read_arrays(fh, payload, data_size)
-            model = model_classes[kind].from_payload(
+            model = MODEL_CLASSES[kind].from_payload(
                 classes, payload, doc.get("hyperparams", {}), doc.get("seed")
             )
             if version != 1:

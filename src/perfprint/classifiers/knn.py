@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, check_trainable
+from .base import Model, _array, check_trainable, rank_by
 
 
 class KnnModel(Model):
@@ -73,7 +73,6 @@ class KnnModel(Model):
             raise DataError("knn: a query's distances are not finite; its features must be "
                             "finite and small enough that their squares are")
         rows = np.arange(self.train_x.shape[0])
-        class_ids = np.arange(self.n_classes)
         out = np.empty((X.shape[0], self.n_classes), dtype=np.int64)
         for q in range(X.shape[0]):
             d = dists[q]
@@ -85,7 +84,7 @@ class KnnModel(Model):
             class_min = np.full(self.n_classes, np.inf)
             np.minimum.at(class_min, self.train_y, d)
             distance = np.where(votes > 0, dist_sum / np.maximum(votes, 1), class_min)
-            out[q] = np.lexsort((class_ids, distance, -votes, votes == 0))
+            out[q] = rank_by(votes == 0, -votes, distance)
         return out
 
 

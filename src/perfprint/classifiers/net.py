@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, _floats, check_trainable
+from .base import Model, _array, _floats, check_trainable, rank_by
 
 DEFAULT_MEMORY_BUDGET_MB = 2048.0
 _MIN_LEARNING_RATE = 1e-15
@@ -289,8 +289,7 @@ class AutoencoderNetModel(Model):
 
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
         """Classes by descending probability, ties to the lower index."""
-        p = self.probabilities(X)
-        return np.lexsort((np.broadcast_to(np.arange(self.n_classes), p.shape), -p), axis=-1)
+        return rank_by(-self.probabilities(X))
 
 
 def estimate_memory_mb(n_samples, n_features, hidden1, hidden2, n_classes) -> float:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, _floats, check_trainable
+from .base import Model, _array, _floats, check_trainable, rank_by
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
@@ -252,8 +252,7 @@ class LinearSvmModel(Model):
         won, then by class index."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         votes, magnitude = self._vote_scores(X)
-        idx = np.broadcast_to(np.arange(self.n_classes), votes.shape)
-        return np.lexsort((idx, -magnitude, -votes), axis=-1)
+        return rank_by(-votes, -magnitude)
 
 
 def train_svm(

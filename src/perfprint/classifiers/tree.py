@@ -13,7 +13,7 @@ import heapq
 import numpy as np
 
 from ..errors import DataError
-from .base import Model, _floats, check_trainable
+from .base import Model, _floats, check_trainable, rank_by
 
 _FEATURE_CHUNK = 128  # bounds the (n, chunk, classes) temporaries
 
@@ -95,25 +95,22 @@ class DecisionTreeModel(Model):
     def __init__(self, classes, nodes, class_frequency, hyperparams=None, seed=None,
                  split_gains=()):
         super().__init__(classes, seed=seed, hyperparams=hyperparams)
-        # nodes[i] is either {"counts": array} (leaf) or
-        # {"feature": f, "threshold": t, "left": i, "right": j}; node 0 is
-        # the root, and children come after their parent. Routing sends
-        # x[feature] <= threshold to the left child.
+        # nodes[i] is either {"counts": [int, ...]} (leaf) or
+        # {"feature": int, "threshold": float, "left": i, "right": j}, as
+        # the model file holds them; node 0 is the root, and children come
+        # after their parent. Routing sends x[feature] <= threshold to the
+        # left child.
         self.nodes = nodes
         # The information gain of each split, one per internal node in node
         # order, or none.
         self.split_gains = list(split_gains)
         self.class_frequency = np.asarray(class_frequency, dtype=np.int64)
         # Each leaf's ranking, computed once: the classes present in the leaf
-        # by (-count, index), then the absent ones by (-class_frequency, index).
-        idx = np.arange(self.n_classes)
-        self._rankings = np.zeros((len(nodes), self.n_classes), dtype=np.int64)
-        for i, node in enumerate(nodes):
-            if "counts" in node:
-                counts = np.asarray(node["counts"], dtype=np.int64)
-                present = counts > 0
-                key = np.where(present, -counts, -self.class_frequency)
-                self._rankings[i] = np.lexsort((idx, key, ~present))
+        # by count, then the absent ones by class frequency. A split node's
+        # row is never read.
+        counts = np.array([node.get("counts", [0] * self.n_classes) for node in nodes],
+                          dtype=np.int64).reshape(len(nodes), self.n_classes)
+        self._rankings = rank_by(counts <= 0, np.where(counts > 0, -counts, -self.class_frequency))
 
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
         """Route each row from the root to its leaf and return that leaf's
@@ -145,13 +142,7 @@ class DecisionTreeModel(Model):
         self.split_gains = gains
 
     def to_payload(self) -> dict:
-        nodes = [
-            {"counts": np.asarray(n["counts"]).tolist()} if "counts" in n
-            else {"feature": int(n["feature"]), "threshold": float(n["threshold"]),
-                  "left": int(n["left"]), "right": int(n["right"])}
-            for n in self.nodes
-        ]
-        return {"nodes": nodes, "class_frequency": self.class_frequency.tolist()}
+        return {"nodes": self.nodes, "class_frequency": self.class_frequency.tolist()}
 
     @classmethod
     def from_payload(cls, classes, payload, hyperparams, seed):
@@ -168,14 +159,15 @@ class DecisionTreeModel(Model):
                 counts = np.array(node["counts"], dtype=np.int64)
                 if counts.shape != (n_classes,):
                     raise DataError(f"tree leaf {i} does not have {n_classes} counts")
-                nodes.append({"counts": counts})
+                nodes.append({"counts": counts.tolist()})
                 continue
             feature, threshold, children = node["feature"], node["threshold"], (node["left"], node["right"])
             if not all(type(c) is int and i < c < n_nodes for c in children):
                 raise DataError(f"tree node {i}: children {children} must be later nodes, below {n_nodes}")
             if not (type(feature) is int and feature >= 0 and isinstance(threshold, (int, float))):
                 raise DataError(f"tree node {i}: bad split on feature {feature!r} at {threshold!r}")
-            nodes.append(dict(node))
+            nodes.append({"feature": feature, "threshold": float(threshold),
+                          "left": children[0], "right": children[1]})
         return cls(classes, nodes, class_frequency, hyperparams=hyperparams, seed=seed)
 
 
@@ -199,15 +191,15 @@ def train_tree(
     n_total = len(y)
     class_frequency = np.bincount(y, minlength=n_classes)
 
-    nodes: list[dict] = [{"counts": class_frequency.copy(), "members": np.arange(n_total)}]
+    nodes: list[dict] = [{"counts": class_frequency.tolist()}]
+    members_of = {0: np.arange(n_total)}  # the training rows of each unsplit leaf
     heap: list = []
     counter = 0
 
     def consider(node_idx: int):
         nonlocal counter
-        members = nodes[node_idx]["members"]
-        counts = nodes[node_idx]["counts"]
-        if len(members) < min_parent or np.count_nonzero(counts) <= 1:
+        members = members_of[node_idx]
+        if len(members) < min_parent or np.count_nonzero(nodes[node_idx]["counts"]) <= 1:
             return
         found = best_split(X[members], y[members], n_classes, min_leaf)
         if found is None or found[0] <= 0.0:
@@ -222,17 +214,12 @@ def train_tree(
     gains = {}
     while heap and splits_done < max_splits:
         _, _, node_idx, feature, threshold, gains[node_idx] = heapq.heappop(heap)
-        members = nodes[node_idx].pop("members")
+        members = members_of.pop(node_idx)
         go_left = X[members, feature] <= threshold
-        left_members = members[go_left]
-        right_members = members[~go_left]
         left_idx, right_idx = len(nodes), len(nodes) + 1
-        nodes.append(
-            {"counts": np.bincount(y[left_members], minlength=n_classes), "members": left_members}
-        )
-        nodes.append(
-            {"counts": np.bincount(y[right_members], minlength=n_classes), "members": right_members}
-        )
+        members_of[left_idx], members_of[right_idx] = members[go_left], members[~go_left]
+        for child in (left_idx, right_idx):
+            nodes.append({"counts": np.bincount(y[members_of[child]], minlength=n_classes).tolist()})
         nodes[node_idx] = {
             "feature": feature,
             "threshold": threshold,
@@ -242,9 +229,6 @@ def train_tree(
         splits_done += 1
         consider(left_idx)
         consider(right_idx)
-
-    for node in nodes:
-        node.pop("members", None)
 
     return DecisionTreeModel(
         classes=classes,

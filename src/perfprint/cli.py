@@ -37,25 +37,22 @@ def _sha256(path: str) -> str:
 
 
 def _load_scenario(spec: str):
-    """A preset name, or a path to a JSON collector config."""
+    """A preset name, or a path to a JSON scenario file."""
     if spec in events.SCENARIO_NAMES:
-        preset = events.preset(spec)
-        return preset.config, preset.target_process_pattern, spec
-    if os.path.exists(spec):
+        scenario = events.preset(spec)
+    elif os.path.exists(spec):
         try:
             with open(spec) as fh:
                 data = json.load(fh)
         except (OSError, RecursionError, ValueError) as exc:  # also bad JSON or UTF-8
             raise DataError(f"{spec}: cannot read scenario file: {exc}") from exc
-        config = events.config_from_dict(data)
-        pattern, name = data.get("target_process_pattern"), data.get("name", spec)
-        if not isinstance(name, str) or not isinstance(pattern, (str, type(None))):
-            raise ConfigError(f"{spec}: name and target_process_pattern must be strings")
-        return config, pattern, name
-    raise ConfigError(
-        f"unknown scenario {spec!r}: not a preset "
-        f"({', '.join(events.SCENARIO_NAMES)}) and no such file"
-    )
+        scenario = events.scenario_from_dict(data, spec)
+    else:
+        raise ConfigError(
+            f"unknown scenario {spec!r}: not a preset "
+            f"({', '.join(events.SCENARIO_NAMES)}) and no such file"
+        )
+    return scenario.config, scenario.target_process_pattern, scenario.name
 
 
 # Each model kind's flags: (flag, trainer keyword, type, help), in the
@@ -213,6 +210,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model = classifiers.load_model(args.model)
     test = dataset.load(args.data)
+    # Refused before scoring; the directory itself is made only after it.
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise DataError(f"--out-dir {args.out_dir} exists and is not a directory")
     report = evaluation.evaluate(model, test, g_max=args.topk)
     report = replace(
         report,

@@ -2,7 +2,8 @@
 
 Event names are abstract symbols from a closed set; the mapping to platform
 encodings lives in the collector so recorded datasets stay loadable on any
-machine. Three named scenario presets cover the supported profiling setups.
+machine. Three named scenario presets cover the supported profiling setups;
+each is a built-in scenario file, read by the same `scenario_from_dict`.
 """
 
 from __future__ import annotations
@@ -150,40 +151,47 @@ class CollectorConfig:
 class ScenarioPreset:
     name: str
     config: CollectorConfig
-    target_process_pattern: str
+    target_process_pattern: str | None
 
 
+# The built-in scenarios, each written as a scenario file is: a collector
+# config (`config_to_dict`'s keys) plus the target process pattern.
 _PRESETS = {
-    "ChromeArm": dict(
-        events=(
-            "instructions",
-            "branch-instructions",
-            "cache-references",
-            "l1d-loads",
-            "l1i-loads",
-            "bus-cycles",
-        ),
-        scope=ProfilingScope.core(0),
-        duration_s=5.0,
-        read_interval_us=200,  # 25,000 samples/event over 5 s
-        pattern="chrome",
-    ),
-    "ChromeIncognitoIntel": dict(
-        events=("branch-instructions", "cache-references", "llc-loads"),
-        scope=ProfilingScope.process(),
-        duration_s=1.0,
-        read_interval_us=100,  # 10,000 samples/event over 1 s
-        pattern="chrome",
-    ),
-    "TorIntel": dict(
-        events=("branch-instructions", "cache-references", "llc-loads"),
-        scope=ProfilingScope.process(),
-        duration_s=5.0,
-        read_interval_us=100,  # 50,000 samples/event over 5 s
-        pattern="tor",
-    ),
+    "ChromeArm": {
+        "events": ["instructions", "branch-instructions", "cache-references", "l1d-loads",
+                   "l1i-loads", "bus-cycles"],
+        "scope": {"type": "core", "cpu": 0},
+        "duration_s": 5.0,
+        "read_interval_us": 200,  # 25,000 samples/event over 5 s
+        "target_process_pattern": "chrome",
+    },
+    "ChromeIncognitoIntel": {
+        "events": ["branch-instructions", "cache-references", "llc-loads"],
+        "scope": {"type": "process"},
+        "duration_s": 1.0,
+        "read_interval_us": 100,  # 10,000 samples/event over 1 s
+        "target_process_pattern": "chrome",
+    },
+    "TorIntel": {
+        "events": ["branch-instructions", "cache-references", "llc-loads"],
+        "scope": {"type": "process"},
+        "duration_s": 5.0,
+        "read_interval_us": 100,  # 50,000 samples/event over 5 s
+        "target_process_pattern": "tor",
+    },
 }
 SCENARIO_NAMES = tuple(_PRESETS)
+
+
+def scenario_from_dict(data: dict, default_name: str) -> ScenarioPreset:
+    """A scenario from a scenario file's content: a collector config plus
+    an optional `name` (`default_name` if absent) and
+    `target_process_pattern`."""
+    config = config_from_dict(data)
+    name, pattern = data.get("name", default_name), data.get("target_process_pattern")
+    if not isinstance(name, str) or not isinstance(pattern, (str, type(None))):
+        raise ConfigError(f"{default_name}: name and target_process_pattern must be strings")
+    return ScenarioPreset(name=name, config=config, target_process_pattern=pattern)
 
 
 def preset(name: str, read_interval_us: int | None = None) -> ScenarioPreset:
@@ -193,18 +201,14 @@ def preset(name: str, read_interval_us: int | None = None) -> ScenarioPreset:
     interval, and with it the samples per event; the duration stays.
     """
     try:
-        spec = _PRESETS[name]
+        data = _PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         ) from None
-    config = CollectorConfig(
-        events=tuple(EventSpec(n) for n in spec["events"]),
-        scope=spec["scope"],
-        duration_s=spec["duration_s"],
-        read_interval_us=spec["read_interval_us"] if read_interval_us is None else read_interval_us,
-    )
-    return ScenarioPreset(name=name, config=config, target_process_pattern=spec["pattern"])
+    if read_interval_us is not None:
+        data = {**data, "read_interval_us": read_interval_us}
+    return scenario_from_dict(data, name)
 
 
 def config_to_dict(config: CollectorConfig) -> dict:

@@ -591,6 +591,20 @@ def test_every_flag_names_a_parameter_of_its_trainer(kind):
     assert {kw for _, kw, _, _ in cli._MODEL_FLAGS[kind]} <= set(params)
 
 
+def test_evaluate_refuses_an_out_dir_that_is_a_file_before_scoring(tmp_path, capsys, monkeypatch):
+    model, test = _train_cli_model(tmp_path, "knn")
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    calls = []
+    rank = classifiers.KnnModel.rank_classes_many
+    monkeypatch.setattr(classifiers.KnnModel, "rank_classes_many",
+                        lambda self, X: calls.append(len(X)) or rank(self, X))
+    capsys.readouterr()
+    assert run("evaluate", "--data", test, "--model", model, "--out-dir", out) == 3
+    assert capsys.readouterr().err == f"error: --out-dir {out} exists and is not a directory\n"
+    assert calls == [] and out.read_text() == "kept\n"
+
+
 def _bad_path_case(tmp_path, case):
     """The argv of one bad-path case and the file it must leave alone."""
     full, model = tmp_path / "full.csv", tmp_path / "m.model"

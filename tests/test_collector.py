@@ -1,5 +1,6 @@
 import errno
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -321,3 +322,71 @@ def test_a_refusal_names_the_highest_level_the_policy_admits(monkeypatch, tmp_pa
     for refusal in refusals:
         assert refusal.required_level == required
         assert f"perf_event_paranoid {required}" in str(refusal)
+
+
+# Cumulative counts each stand-in counter returns, one per read: the read
+# before the loop, then one per sample.
+SCRIPT = np.array([[100, 130, 190], [7, 7, 12]])
+
+
+def _stand_in_counters(monkeypatch, fail_open_at=None):
+    """Replace the counter calls `collect` makes: each open returns a real
+    fd on the null device (or raises PermissionDeniedError at open number
+    `fail_open_at`), ioctls are recorded, and each read returns the next
+    count of that fd's row of SCRIPT. Returns the opened fds and the log of
+    calls, as ("ioctl", fd, request) and ("read", fd)."""
+    fds, log, reads = [], [], {}
+    monkeypatch.setattr(collector.os, "geteuid", lambda: 0)
+
+    def open_counter(spec, pid, cpu):
+        if len(fds) == fail_open_at:
+            raise PermissionDeniedError("denied", required_level="2 or lower")
+        fds.append(os.open(os.devnull, os.O_RDONLY))
+        reads[fds[-1]] = iter(SCRIPT[len(fds) - 1].tolist())
+        return fds[-1]
+
+    def read_counter(fd):
+        log.append(("read", fd))
+        return next(reads[fd])
+
+    monkeypatch.setattr(collector, "_open_counter", open_counter)
+    monkeypatch.setattr(collector, "_ioctl", lambda fd, request: log.append(("ioctl", fd, request)))
+    monkeypatch.setattr(collector, "_read_counter", read_counter)
+    return fds, log
+
+
+def _closed(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return True
+    return False
+
+
+TWO_SAMPLES = CollectorConfig(events=(EventSpec("instructions"), EventSpec("llc-loads")),
+                              scope=ProfilingScope.process(1), duration_s=0.0004,
+                              read_interval_us=200)
+
+
+def test_collect_reports_the_deltas_of_its_counter_reads(monkeypatch):
+    fds, log = _stand_in_counters(monkeypatch)
+    assert TWO_SAMPLES.expected_samples == 2
+    raw = collector.collect(TWO_SAMPLES)
+    for name, row in zip(TWO_SAMPLES.event_names, SCRIPT):
+        np.testing.assert_array_equal(raw.counts[name], np.diff(row))
+    assert raw.timestamps.shape == (2,) and (np.diff(raw.timestamps) > 0).all()
+    reads = [i for i, call in enumerate(log) if call[0] == "read"]
+    enables = [i for i, call in enumerate(log) if call[2:] == (collector._PERF_EVENT_IOC_ENABLE,)]
+    disables = [i for i, call in enumerate(log) if call[2:] == (collector._PERF_EVENT_IOC_DISABLE,)]
+    assert [log[i][1] for i in enables] == [log[i][1] for i in disables] == fds
+    assert max(enables) < min(reads) and max(reads) < min(disables)
+    assert len(reads) == SCRIPT.size
+    assert all(_closed(fd) for fd in fds)
+
+
+def test_a_refused_second_counter_closes_the_first(monkeypatch):
+    fds, log = _stand_in_counters(monkeypatch, fail_open_at=1)
+    with pytest.raises(PermissionDeniedError, match="denied"):
+        collector.collect(TWO_SAMPLES)
+    assert len(fds) == 1 and _closed(fds[0])
+    assert log == []

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from perfprint.classifiers import io, load_model, make_trainer, net, save_model
+from perfprint.classifiers import (MODEL_KINDS, KnnModel, Model, io, load_model, make_trainer,
+                                   net, save_model)
+from perfprint.classifiers.base import rank_by
 from perfprint.dataset import write_json
 from perfprint.errors import DataError
 
@@ -219,3 +221,46 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("not json")
     with pytest.raises(DataError):
         load_model(str(path))
+
+
+def test_the_kind_table_holds_the_four_kinds_in_trainer_order():
+    assert tuple(io.MODEL_CLASSES) == MODEL_KINDS
+
+
+def test_a_later_model_subclass_does_not_take_over_its_kind(toy, tmp_path):
+    d, queries = toy
+    path = tmp_path / "knn.model"
+    save_model(make_trainer("knn", k=3)(d), str(path))
+    before = load_model(str(path))
+
+    class Wrapper(Model):
+        kind = "knn"
+
+    loaded = load_model(str(path))
+    assert type(loaded) is KnnModel
+    np.testing.assert_array_equal(loaded.rank_classes_many(queries), before.rank_classes_many(queries))
+
+
+def test_a_kind_outside_the_table_is_refused_though_a_model_class_carries_it(toy, tmp_path):
+    d, _ = toy
+    path = tmp_path / "oracle.model"
+    save_model(make_trainer("knn", k=1)(d), str(path))
+    line, _, data = path.read_bytes().partition(b"\n")
+    path.write_bytes(line.replace(b'"kind":"knn"', b'"kind":"oracle"') + b"\n" + data)
+
+    class Oracle(Model):
+        kind = "oracle"
+
+    with pytest.raises(DataError, match="unknown model kind 'oracle'"):
+        load_model(str(path))
+
+
+def test_rank_by_orders_by_its_keys_then_by_class_index():
+    # Small integer keys, so most classes tie on at least one of them.
+    rng = np.random.default_rng(5)
+    first, second = rng.integers(0, 3, size=(2, 40, 7))
+    ranked = rank_by(first, -second)
+    for row, (a, b) in enumerate(zip(first, second)):
+        expected = sorted(range(7), key=lambda c: (a[c], -b[c], c))
+        assert ranked[row].tolist() == expected
+        assert rank_by(a, -b).tolist() == expected
