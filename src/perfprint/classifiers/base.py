@@ -14,6 +14,9 @@ back, with each array as a fresh, writable float64 array. How training
 went (solver steps, loss histories, split gains) is kept apart from the
 payload: `diagnostics()` gives it as JSON values, which ranking never
 reads, and `restore_diagnostics(diagnostics)` puts a saved copy back.
+
+Every trainer starts with `training_arrays`, which refuses a set it cannot
+train on and reads its classes, feature matrix and label indices once.
 """
 
 from __future__ import annotations
@@ -105,10 +108,14 @@ def _decode(obj: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
 
 
-def check_trainable(dataset, min_classes: int = 1):
-    if not len(dataset):
+def training_arrays(train, min_classes: int = 1):
+    """The prologue of every trainer: a DataError for an empty dataset or
+    one with fewer than `min_classes` classes, else (classes, X, y) with
+    the class list, the (n, d) feature matrix and each row's class index,
+    each read from `train` once."""
+    if not len(train):
         raise DataError("cannot train on an empty dataset")
-    if dataset.n_classes < min_classes:
-        raise DataError(
-            f"need at least {min_classes} classes, dataset has {dataset.n_classes}"
-        )
+    classes = train.classes
+    if len(classes) < min_classes:
+        raise DataError(f"need at least {min_classes} classes, dataset has {len(classes)}")
+    return classes, train.feature_matrix(), train.label_indices(classes)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, check_trainable, rank_by
+from .base import Model, _array, rank_by, training_arrays
 
 
 class KnnModel(Model):
@@ -91,15 +91,9 @@ class KnnModel(Model):
 def train_knn(train, k: int = 1) -> KnnModel:
     """Store the training set verbatim; k defaults to the single nearest
     neighbor."""
-    check_trainable(train)
+    classes, X, y = training_arrays(train)
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if k > len(train):
-        raise ConfigError(f"k={k} exceeds training set size {len(train)}")
-    classes = train.classes
-    return KnnModel(
-        classes=classes,
-        train_x=train.feature_matrix(),
-        train_y=train.label_indices(classes),
-        k=k,
-    )
+    if k > len(y):
+        raise ConfigError(f"k={k} exceeds training set size {len(y)}")
+    return KnnModel(classes=classes, train_x=X, train_y=y, k=k)

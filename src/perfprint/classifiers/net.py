@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, _floats, check_trainable, rank_by
+from .base import Model, _array, _floats, rank_by, training_arrays
 
 DEFAULT_MEMORY_BUDGET_MB = 2048.0
 _MIN_LEARNING_RATE = 1e-15
@@ -81,10 +81,27 @@ def _square_sum(w, buffers) -> float:
     return float(np.multiply(w, w, out=buffers.scratch(w.shape)).sum())
 
 
-def _weight_grad(name, a, d, w, l2, buffers):
-    """a.T @ d + l2 * w, in the Workspace array `name`."""
+def _dense_grads(name, a, d, w, l2, buffers):
+    """A dense layer's gradients for input a, weights w and output
+    derivative d: (a.T @ d + l2 * w, in the Workspace array `name`, and
+    d.sum(axis=0))."""
     g = np.matmul(a.T, d, out=buffers.named(name, (a.shape[1], d.shape[1])))
-    return np.add(g, np.multiply(w, l2, out=buffers.scratch(w.shape)), out=g)
+    return np.add(g, np.multiply(w, l2, out=buffers.scratch(w.shape)), out=g), d.sum(axis=0)
+
+
+def _sigmoid_back(d, w, h):
+    """The derivative at sigmoid activations h, from the derivative d after
+    their weights w."""
+    return (d @ w.T) * h * (1.0 - h)
+
+
+def _forward(params, X):
+    """The stack's forward pass: (h1, h2, p), with p the class
+    probabilities of each row of X."""
+    w1, b1, w2, b2, ws, bs = params
+    h1 = sigmoid(X @ w1 + b1)
+    h2 = sigmoid(h1 @ w2 + b2)
+    return h1, h2, softmax(h2 @ ws + bs)
 
 
 def autoencoder_loss(params, X, l2, buffers):
@@ -112,11 +129,8 @@ def autoencoder_grads(params, X, l2, cache, buffers):
     h, err = cache
     scale = 1.0 / X.size if X.size else 0.0
     d_out = np.multiply(err, scale, out=err)
-    g_wd = _weight_grad("g_wd", h, d_out, wd, l2, buffers)
-    g_bd = d_out.sum(axis=0)
-    d_h = (d_out @ wd.T) * h * (1.0 - h)
-    g_we = _weight_grad("g_we", X, d_h, we, l2, buffers)
-    g_be = d_h.sum(axis=0)
+    g_wd, g_bd = _dense_grads("g_wd", h, d_out, wd, l2, buffers)
+    g_we, g_be = _dense_grads("g_we", X, _sigmoid_back(d_out, wd, h), we, l2, buffers)
     return [g_we, g_be, g_wd, g_bd]
 
 
@@ -134,34 +148,28 @@ def softmax_loss(params, H, y_onehot, l2, buffers):
 def softmax_grads(params, H, y_onehot, l2, cache, buffers):
     ws, bs = params
     d_z = (cache - y_onehot) / H.shape[0]
-    return [_weight_grad("g_ws", H, d_z, ws, l2, buffers), d_z.sum(axis=0)]
+    return list(_dense_grads("g_ws", H, d_z, ws, l2, buffers))
 
 
 def stack_loss(params, X, y_onehot, l2, buffers):
     """Cross-entropy of the full encoder stack plus L2 on all three weight
     matrices. `params` is (W1, b1, W2, b2, Ws, bs). Returns (loss, cache)."""
-    w1, b1, w2, b2, ws, bs = params
-    h1 = sigmoid(X @ w1 + b1)
-    h2 = sigmoid(h1 @ w2 + b2)
-    p = softmax(h2 @ ws + bs)
+    w1, _, w2, _, ws, _ = params
+    cache = _forward(params, X)
     reg = 0.5 * l2 * (
         _square_sum(w1, buffers) + _square_sum(w2, buffers) + _square_sum(ws, buffers)
     )
-    return _cross_entropy(p, y_onehot) + reg, (h1, h2, p)
+    return _cross_entropy(cache[2], y_onehot) + reg, cache
 
 
 def stack_grads(params, X, y_onehot, l2, cache, buffers):
-    w1, b1, w2, b2, ws, bs = params
+    w1, _, w2, _, ws, _ = params
     h1, h2, p = cache
     d_z3 = (p - y_onehot) / X.shape[0]
-    g_ws = _weight_grad("g_ws", h2, d_z3, ws, l2, buffers)
-    g_bs = d_z3.sum(axis=0)
-    d_h2 = (d_z3 @ ws.T) * h2 * (1.0 - h2)
-    g_w2 = _weight_grad("g_w2", h1, d_h2, w2, l2, buffers)
-    g_b2 = d_h2.sum(axis=0)
-    d_h1 = (d_h2 @ w2.T) * h1 * (1.0 - h1)
-    g_w1 = _weight_grad("g_w1", X, d_h1, w1, l2, buffers)
-    g_b1 = d_h1.sum(axis=0)
+    g_ws, g_bs = _dense_grads("g_ws", h2, d_z3, ws, l2, buffers)
+    d_h2 = _sigmoid_back(d_z3, ws, h2)
+    g_w2, g_b2 = _dense_grads("g_w2", h1, d_h2, w2, l2, buffers)
+    g_w1, g_b1 = _dense_grads("g_w1", X, _sigmoid_back(d_h2, w2, h1), w1, l2, buffers)
     return [g_w1, g_b1, g_w2, g_b2, g_ws, g_bs]
 
 
@@ -282,10 +290,7 @@ class AutoencoderNetModel(Model):
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        w = self.weights
-        h1 = sigmoid(X @ w["w1"] + w["b1"])
-        h2 = sigmoid(h1 @ w["w2"] + w["b2"])
-        return softmax(h2 @ w["ws"] + w["bs"])
+        return _forward([self.weights[name] for name in _LAYERS], X)[2]
 
     def rank_classes_many(self, X: np.ndarray) -> np.ndarray:
         """Classes by descending probability, ties to the lower index."""
@@ -337,17 +342,14 @@ def train_net(
     autoencoder stages; the softmax and fine-tuning stages default to the
     same cap but have their own knobs.
     """
-    check_trainable(train, min_classes=2)
+    classes, X, y = training_arrays(train, min_classes=2)
     if max_iterations < 1:
         raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
-    classes = train.classes
     n_classes = len(classes)
     h1 = 100 * n_classes if hidden1 is None else hidden1
     h2 = 10 * n_classes if hidden2 is None else hidden2
     if h1 < 1 or h2 < 1:
         raise ConfigError("hidden layer sizes must be >= 1")
-    X = train.feature_matrix()
-    y = train.label_indices(classes)
     n, d = X.shape
 
     needed = estimate_memory_mb(n, d, h1, h2, n_classes)

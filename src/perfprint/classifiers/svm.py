@@ -6,7 +6,8 @@ feature (so it is regularized too, and the dual has simple box constraints
 only). Each pair's dual, min 0.5*a'Qa - sum(a) over 0 <= a <= C, is solved
 by a primal active-set method whose result is certified against `tol`;
 a pair it cannot certify within its iteration cap keeps the result it
-reached, and its stats say by how much it misses tol.
+reached, and its stats say by how much it misses tol. `solve_pair` returns
+the plain 4-tuple (w, b, alpha, SolveStats); no dual objective is returned.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, _floats, check_trainable, rank_by
+from .base import Model, _array, _floats, rank_by, training_arrays
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
@@ -30,19 +31,6 @@ class SolveStats(NamedTuple):
 
     steps: int
     violation: float
-
-
-class PairSolution(tuple):
-    """`(w, b, alpha, dual)`, which unpacks as a 4-tuple, with its
-    SolveStats as `stats`."""
-
-    def __new__(cls, w, b, alpha, dual, stats: SolveStats):
-        solution = super().__new__(cls, (w, b, alpha, dual))
-        solution.stats = stats
-        return solution
-
-    def __getnewargs__(self):  # for copy and pickle
-        return (*self, self.stats)
 
 
 def _with_ones(X):
@@ -60,11 +48,12 @@ def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAU
                q=None):
     """Solve one binary problem; X: (n, d) features, y: +/-1 labels.
 
-    Returns a PairSolution, which unpacks as (w, b, alpha, dual_objective).
-    The active-set method runs for at most min(10 * (n + 1), max_passes)
-    iterations; the pair is certified when every projected-gradient entry,
-    recomputed from the result, is below `tol`. An uncertified pair keeps
-    the alpha the solver stopped at; its stats give the violation.
+    Returns the plain 4-tuple (w, b, alpha, SolveStats(steps, violation));
+    no dual objective is returned. The active-set method runs for at most
+    min(10 * (n + 1), max_passes) iterations; the pair is certified when
+    every projected-gradient entry, recomputed from the result, is below
+    `tol`. An uncertified pair keeps the alpha the solver stopped at; its
+    stats give the violation.
 
     `q` is the dual's Q, (xa @ xa.T) * outer(y, y) for X with a constant 1
     column appended; it is computed when not given.
@@ -78,12 +67,11 @@ def solve_pair(X, y, c: float, tol: float = DEFAULT_TOL, max_passes: int = DEFAU
     q_alpha = q @ alpha
     w_aug = xa.T @ (alpha * y)
     w, b = w_aug[:-1], float(w_aug[-1])
-    dual = float(alpha.sum() - 0.5 * (alpha @ q_alpha))
     # The larger of the violations from Q @ alpha and from the returned w
     # and b, so a result below tol is below it however the gradient is
     # recomputed.
     violation = max(_violation(q_alpha - 1.0, alpha, c), _violation(y * (X @ w + b) - 1.0, alpha, c))
-    return PairSolution(w, b, alpha, dual, SolveStats(steps, violation))
+    return w, b, alpha, SolveStats(steps, violation)
 
 
 def _newton_direction(q_ff, g_f):
@@ -263,12 +251,9 @@ def train_svm(
 ) -> LinearSvmModel:
     """Fit all N*(N-1)/2 pairwise linear classifiers. The model keeps how
     each pair was solved as `solve_stats`, one SolveStats per pair."""
-    check_trainable(train, min_classes=2)
+    classes, X, y = training_arrays(train, min_classes=2)
     if c <= 0:
         raise ConfigError(f"C must be > 0, got {c}")
-    classes = train.classes
-    X = train.feature_matrix()
-    y = train.label_indices(classes)
     pairs = list(itertools.combinations(range(len(classes)), 2))
     xa = _with_ones(X)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -284,9 +269,9 @@ def train_svm(
         labels = np.where(y[mask] == ci, 1.0, -1.0)  # +1 is the lower index
         rows = np.flatnonzero(mask)
         q = gram[np.ix_(rows, rows)] * np.outer(labels, labels)
-        solution = solve_pair(X[mask], labels, c, tol=tol, max_passes=max_passes, q=q)
-        weights[p], biases[p] = solution[:2]
-        stats.append(solution.stats)
+        weights[p], biases[p], _, pair_stats = solve_pair(X[mask], labels, c, tol=tol,
+                                                          max_passes=max_passes, q=q)
+        stats.append(pair_stats)
     return LinearSvmModel(
         classes=classes,
         pairs=pairs,

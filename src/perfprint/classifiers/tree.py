@@ -13,7 +13,7 @@ import heapq
 import numpy as np
 
 from ..errors import DataError
-from .base import Model, _floats, check_trainable, rank_by
+from .base import Model, _floats, rank_by, training_arrays
 
 _FEATURE_CHUNK = 128  # bounds the (n, chunk, classes) temporaries
 
@@ -148,18 +148,22 @@ class DecisionTreeModel(Model):
     def from_payload(cls, classes, payload, hyperparams, seed):
         """Rebuild the tree, checking that every internal node's children
         are later nodes (so routing always ends at a leaf) and that every
-        leaf counts each class once."""
+        leaf, like the class frequencies, is a list of one int per class."""
         n_nodes, n_classes = len(payload["nodes"]), len(classes)
-        class_frequency = np.array(payload["class_frequency"], dtype=np.int64)
-        if not n_nodes or class_frequency.shape != (n_classes,):
-            raise DataError(f"tree needs nodes and {n_classes} class frequencies")
+
+        def per_class_ints(value) -> bool:
+            return (isinstance(value, list) and len(value) == n_classes
+                    and all(type(v) is int for v in value))
+
+        class_frequency = payload["class_frequency"]
+        if not (n_nodes and per_class_ints(class_frequency)):
+            raise DataError(f"tree needs nodes and {n_classes} int class frequencies")
         nodes = []
         for i, node in enumerate(payload["nodes"]):
             if "counts" in node:
-                counts = np.array(node["counts"], dtype=np.int64)
-                if counts.shape != (n_classes,):
-                    raise DataError(f"tree leaf {i} does not have {n_classes} counts")
-                nodes.append({"counts": counts.tolist()})
+                if not per_class_ints(node["counts"]):
+                    raise DataError(f"tree leaf {i} does not have {n_classes} int counts")
+                nodes.append({"counts": node["counts"]})
                 continue
             feature, threshold, children = node["feature"], node["threshold"], (node["left"], node["right"])
             if not all(type(c) is int and i < c < n_nodes for c in children):
@@ -181,13 +185,10 @@ def train_tree(
     budget stop it. Defaults follow the N-1 split cap with leaf floor 1 and
     parent floor 10.
     """
-    check_trainable(train)
-    classes = train.classes
+    classes, X, y = training_arrays(train)
     n_classes = len(classes)
     if max_splits is None:
         max_splits = max(n_classes - 1, 1)
-    X = train.feature_matrix()
-    y = train.label_indices(classes)
     n_total = len(y)
     class_frequency = np.bincount(y, minlength=n_classes)
 

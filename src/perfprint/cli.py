@@ -167,10 +167,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prep(args) -> int:
+    # The outputs are checked before the data is read: the mode's outputs
+    # are required, the other mode's refused, and the two splits may not
+    # share a file.
+    split = bool(args.split_train)
+    mode = "with --split-train" if split else "without --split-train"
+    for flag, written in (("--train-out", split), ("--test-out", split), ("--out", not split)):
+        if bool(getattr(args, flag[2:].replace("-", "_"))) != written:
+            raise ConfigError(f"{flag} is {'required' if written else 'not written'} {mode}")
+    if split and os.path.realpath(args.train_out) == os.path.realpath(args.test_out):
+        raise ConfigError(f"--train-out and --test-out are the same file, {args.train_out}")
     d = dataset.downsample(dataset.load(args.data), args.downsample)
-    if args.split_train:
-        if not (args.train_out and args.test_out):
-            raise ConfigError("--split-train needs --train-out and --test-out")
+    if split:
         train, test = dataset.split(d, args.split_train, args.split_test, args.split_seed)
         if args.normalize:
             train = dataset.normalize_fit(train)
@@ -182,8 +190,6 @@ def cmd_prep(args) -> int:
         return 0
     if args.normalize:
         d = dataset.normalize_fit(d)
-    if not args.out:
-        raise ConfigError("--out required when not splitting")
     dataset.save(d, args.out)
     print(f"sha256 {_sha256(args.out)}")
     return 0

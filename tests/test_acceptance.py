@@ -30,6 +30,7 @@ from perfprint.mitigation import MitigationPolicy, leakage_report
 from helpers import build_dataset
 from oracles import (
     all_split_gains,
+    dual_objective,
     finite_difference_grads,
     knn_rank,
     save_model_v1,
@@ -206,8 +207,8 @@ def test_criterion_3_svm_correctness():
             rng = np.random.default_rng(31_000 + index)
             X = rng.normal(size=(4, 2))
             y = np.array([1.0, 1.0, -1.0, -1.0])
-            _, _, _, dual = solve_pair(X, y, 1.0)
-            assert abs(dual - svm_grid_dual_max(X, y, 1.0)) <= 1e-3
+            _, _, alpha, _ = solve_pair(X, y, 1.0)
+            assert abs(dual_objective(alpha, X, y) - svm_grid_dual_max(X, y, 1.0)) <= 1e-3
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 

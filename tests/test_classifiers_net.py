@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perfprint.classifiers import train_net
+from perfprint.classifiers import load_model, save_model, train_net
 from perfprint.classifiers.net import (
     DEFAULT_MEMORY_BUDGET_MB,
     Workspace,
@@ -19,7 +19,12 @@ from perfprint.classifiers.net import (
 from perfprint.errors import ConfigError, DataError
 
 from helpers import random_dataset
-from oracles import finite_difference_grads, reference_sigmoid, reference_train_net
+from oracles import (
+    finite_difference_grads,
+    reference_sigmoid,
+    reference_stack_loss,
+    reference_train_net,
+)
 
 
 def _relative_errors(analytic, numeric):
@@ -80,6 +85,17 @@ def test_softmax_rows_sum_to_one():
     model = train_net(d, seed=1, max_iterations=5)
     probs = model.probabilities(rng.normal(size=(9, 6)))
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
+
+
+def test_probabilities_match_the_reference_forward_pass_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(45)
+    model = train_net(random_dataset(rng, 3, 4, 6), seed=1, max_iterations=5)
+    X = rng.normal(size=(9, 6))
+    save_model(model, str(tmp_path / "net.model"))
+    for net in (model, load_model(str(tmp_path / "net.model"))):
+        params = [net.weights[name] for name in ("w1", "b1", "w2", "b2", "ws", "bs")]
+        _, (_, _, p) = reference_stack_loss(params, X, np.zeros((9, 3)), 0.001)
+        assert net.probabilities(X).tobytes() == p.tobytes()
 
 
 def test_finetune_loss_decreases_on_synthetic_five_class_set():

@@ -13,6 +13,7 @@ import pytest
 import perfprint
 from perfprint import classifiers, cli, collector, dataset
 from perfprint.cli import main
+from perfprint.errors import DataError
 
 
 def run(*argv):
@@ -200,6 +201,37 @@ def test_prep_split_normalize_downsample(tmp_path):
     assert d_train.normalization is not None
     x = d_train.feature_matrix()
     assert x.min() >= 0.0 and x.max() <= 1.0
+
+
+# Each `prep` output mistake: a missing output, an output the mode does not
+# write, and train and test outputs that are one file.
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--split-train", 6, "--train-out", "train.csv"],
+    ["--split-train", 6, "--test-out", "test.csv"],
+    ["--train-out", "train.csv", "--test-out", "test.csv"],
+    ["--out", "out.csv", "--test-out", "test.csv"],
+    ["--split-train", 6, "--train-out", "train.csv", "--test-out", "test.csv", "--out", "out.csv"],
+    ["--split-train", 6, "--train-out", "x.csv", "--test-out", "x.csv"],
+    ["--split-train", 6, "--train-out", "x.csv", "--test-out", "sub/../x.csv"],
+    ["--split-train", 6, "--train-out", "x.csv", "--test-out", "link.csv"],
+], ids=["no-out", "no-test-out", "no-train-out", "split-outs-unsplit", "test-out-unsplit",
+        "out-split", "same-name", "same-path", "same-file-by-link"])
+def test_prep_refuses_its_outputs_before_it_reads_the_data(tmp_path, capsys, monkeypatch, flags):
+    full = tmp_path / "full.csv"
+    assert run(*synth_args(full)) == 0
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "x.csv")
+    monkeypatch.chdir(tmp_path)
+    loads = []
+    monkeypatch.setattr(dataset, "load", lambda path: loads.append(path))
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run("prep", "--data", full, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1, err
+    assert loads == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
 def test_train_evaluate_round_trip(tmp_path):
@@ -439,6 +471,46 @@ def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"error: {model}: ")
     assert "Traceback" not in proc.stderr
+
+
+def _tree_leaf_counts_of_other_types(doc):
+    leaf = next(n for n in doc["payload"]["nodes"] if "counts" in n)
+    leaf["counts"] = ["3", 1.9, True] + [1] * (len(doc["classes"]) - 3)
+
+
+def _tree_float_class_frequency(doc):
+    doc["payload"]["class_frequency"] = [2.7] * len(doc["classes"])
+
+
+# numpy would convert these to ints, 1 for true and 2 for 2.7; a tree file
+# holds ints only.
+@pytest.mark.parametrize("edit", [_tree_leaf_counts_of_other_types, _tree_float_class_frequency],
+                         ids=["leaf-counts", "class-frequency"])
+def test_a_tree_file_whose_counts_are_not_ints_exits_three(tmp_path, capsys, edit):
+    model, test = _train_cli_model(tmp_path, "tree", "--min-parent", 2)
+    doc = _read_model(model)
+    edit(doc)
+    _write_model(model, doc)
+    with pytest.raises(DataError, match="int"):
+        classifiers.load_model(str(model))
+    capsys.readouterr()
+    assert run("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r") == 3
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+    assert not (tmp_path / "r").exists()
+
+
+def test_a_tree_file_with_negative_counts_loads_and_resaves_its_bytes(tmp_path):
+    model, _ = _train_cli_model(tmp_path, "tree", "--min-parent", 2)
+    doc = _read_model(model)
+    next(n for n in doc["payload"]["nodes"] if "counts" in n)["counts"][0] = -2
+    doc["payload"]["class_frequency"][-1] = -1
+    _write_model(model, doc)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for source, target in ((model, first), (first, second)):
+        loaded = classifiers.load_model(str(source))
+        classifiers.save_model(loaded, str(target), provenance=loaded.provenance)
+    assert _read_model(first)["payload"] == doc["payload"]
+    assert second.read_bytes() == first.read_bytes()
 
 
 def _edit_descriptor(key, value):
