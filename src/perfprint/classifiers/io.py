@@ -10,7 +10,10 @@ kind is refused. Each array in the payload is written as {"dtype": "<f8",
 "shape": [...], "offset": N}, and its little-endian float64 bytes start N
 bytes into the data section; the arrays lie back to back in payload order.
 Files written on one machine load anywhere, and a file holds no wall-clock
-time, so identical training runs produce identical bytes.
+time, so identical training runs produce identical bytes on the same
+machine, numpy, BLAS library and BLAS thread count. A net's bytes can
+change with the BLAS thread count alone; kNN, tree and SVM files keep
+theirs across thread counts (tests/test_blas_threads.py).
 
 `load_model` checks the layout before it allocates an array: each dtype is
 "<f8", each shape a list of non-negative ints, the offsets run back to back

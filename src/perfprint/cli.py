@@ -85,54 +85,136 @@ _MODEL_FLAGS = {
     ],
 }
 
+# Each --policy choice's constructor and its flags, in the shape of
+# _MODEL_FLAGS; a flag not given takes its constructor keyword's default.
+_POLICIES = {
+    "noise": mitigation.MitigationPolicy.noise_injection,
+    "downsample": mitigation.MitigationPolicy.sampling_degradation,
+    "deny": mitigation.MitigationPolicy.access_denied,
+}
+_POLICY_FLAGS = {
+    "noise": [("--sigma", "sigma", float, None), ("--policy-seed", "seed", int, None)],
+    "downsample": [("--factor", "factor", int, None)],
+    "deny": [],
+}
 
-def _hyperparams(args) -> dict:
-    """The trainer keywords of the chosen kind, defaults filled in from the
-    trainer's signature; those whose default is None are dropped unless
-    given. A flag of another kind, or a float flag that is not finite, is a
-    ConfigError."""
-    defaults = inspect.signature(classifiers._TRAINERS[args.kind]).parameters
-    values = {}
-    for kind, flags in _MODEL_FLAGS.items():
-        for flag, kw, _, _ in flags:
-            dest = flag[2:].replace("-", "_")
-            if kind == args.kind:
-                values[kw] = getattr(args, dest, defaults[kw].default)
-                _check_finite(flag, values[kw])
-            elif hasattr(args, dest):
-                raise ConfigError(f"{flag} is a --kind {kind} flag, not one for --kind {args.kind}")
+
+def _owned_by(selector: str, flags_of: dict) -> dict:
+    return {flag: (selector, mode) for mode, flags in flags_of.items() for flag, *_ in flags}
+
+
+# Which mode of its command reads each optional flag: (selector, mode), or
+# None for a flag that every mode reads. Every optional flag is listed, and
+# one given outside its mode is refused before the command reads anything.
+# The selectors: --kind, --policy, whether prep's --split-train is non-zero,
+# and where collect's target comes from once its scope is resolved.
+_FLAG_MODES = {
+    "collect": {
+        "--cpu": None,
+        "--pid": ("target", "pid"),
+        "--await": ("target", "await"),
+        "--await-timeout": ("target", "await"),
+    },
+    "synth": dict.fromkeys(("--events", "--samples-per-event", "--noise-sigma", "--noise-shift",
+                            "--noise-jitter", "--noise-floor", "--seed")),
+    "prep": {
+        "--downsample": None,
+        "--normalize": None,
+        "--split-train": None,
+        **dict.fromkeys(("--split-test", "--split-seed", "--train-out", "--test-out"),
+                        ("split", True)),
+        "--out": ("split", False),
+    },
+    "train": _owned_by("kind", _MODEL_FLAGS),
+    "evaluate": {"--topk": None},
+    "crossval": {"--folds": None, "--seed": None, **_owned_by("kind", _MODEL_FLAGS)},
+    "curve": {"--seed": None, **_owned_by("kind", _MODEL_FLAGS)},
+    "mitigate": {
+        "--split-seed": None,
+        **_owned_by("policy", _POLICY_FLAGS),
+        **_owned_by("kind", _MODEL_FLAGS),
+    },
+}
+
+# How a refusal names each selector's modes.
+_MODE_NAMES = {
+    "kind": "--kind {}".format,
+    "policy": "--policy {}".format,
+    "split": {True: "--split-train", False: "--split-train 0"}.get,
+    "target": {"core": "a core-wide scope", "fixed": "a scenario's own pid",
+               "pid": "process-scope --pid", "await": "process-scope --await"}.get,
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _refuse_unread_flags(args, **modes):
+    """A ConfigError for the first flag given outside the mode that reads
+    it; `modes` holds the mode each of the command's selectors chose."""
+    for flag, owner in _FLAG_MODES[args.command].items():
+        if owner is not None and hasattr(args, _dest(flag)):
+            selector, mode = owner
+            if modes[selector] != mode:
+                name = _MODE_NAMES[selector]
+                raise ConfigError(f"{flag} is a {name(mode)} flag, not one for {name(modes[selector])}")
+
+
+def _keywords(args, constructor, flags) -> dict:
+    """The keywords `flags` give `constructor`, defaults filled in from its
+    signature; those whose default is None are dropped unless given."""
+    defaults = inspect.signature(constructor).parameters
+    values = {kw: getattr(args, _dest(flag), defaults[kw].default) for flag, kw, _, _ in flags}
     return {kw: value for kw, value in values.items() if value is not None}
 
 
-def _check_finite(flag: str, value):
-    """Reports and model files are strict JSON, which has no nan or inf."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{flag} must be finite, got {value}")
+def _hyperparams(args) -> dict:
+    """The trainer keywords of the chosen kind. Reports and model files are
+    strict JSON, which has no nan or inf, so a float flag that is not finite
+    is a ConfigError."""
+    flags = _MODEL_FLAGS[args.kind]
+    values = _keywords(args, classifiers._TRAINERS[args.kind], flags)
+    for flag, kw, _, _ in flags:
+        value = values.get(kw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    return values
 
 
-def _add_model_flags(parser):
-    # Flags left out stay off the namespace, so `_hyperparams` sees which
-    # were given.
-    parser.add_argument("--kind", required=True, choices=classifiers.MODEL_KINDS)
-    for flags in _MODEL_FLAGS.values():
+def _add_mode_flags(parser, flags_of: dict):
+    # Flags left out stay off the namespace, so `_refuse_unread_flags` sees
+    # which were given.
+    for flags in flags_of.values():
         for flag, _, type_, help_ in flags:
             parser.add_argument(flag, type=type_, default=argparse.SUPPRESS, help=help_)
 
 
+def _add_model_flags(parser):
+    parser.add_argument("--kind", required=True, choices=classifiers.MODEL_KINDS)
+    _add_mode_flags(parser, _MODEL_FLAGS)
+
+
 def cmd_collect(args) -> int:
-    config, default_pattern, scenario_name = _load_scenario(args.scenario)
+    config, pattern, scenario_name = _load_scenario(args.scenario)
     if args.cpu is not None:
         config = replace(config, scope=events.ProfilingScope.core(args.cpu))
-    pattern = args.await_pattern or default_pattern
-    if config.scope.is_process_specific and config.scope.pid < 0:
-        if args.pid is not None:
-            config = config.with_pid(args.pid)
-        elif pattern:
-            pid = collector.await_target_process(pattern, timeout_s=args.await_timeout)
-            print(f"target process {pid} matched {pattern!r}")
-            config = config.with_pid(pid)
-        else:
+    if not config.scope.is_process_specific:
+        target = "core"
+    elif config.scope.pid >= 0:
+        target = "fixed"
+    else:
+        target = "pid" if hasattr(args, "pid") else "await"
+    _refuse_unread_flags(args, target=target)
+    if target == "pid":
+        config = config.with_pid(args.pid)
+    elif target == "await":
+        pattern = getattr(args, "await", pattern)
+        if not pattern:
             raise ConfigError("process-specific scenario needs --pid or --await")
+        pid = collector.await_target_process(pattern, timeout_s=getattr(args, "await_timeout", 30.0))
+        print(f"target process {pid} matched {pattern!r}")
+        config = config.with_pid(pid)
     raw = collector.collect(config)
     measurement = dataset.concatenate(raw, args.label)
     captured_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -168,18 +250,19 @@ def cmd_synth(args) -> int:
 
 def cmd_prep(args) -> int:
     # The outputs are checked before the data is read: the mode's outputs
-    # are required, the other mode's refused, and the two splits may not
-    # share a file.
+    # are required, and the two splits may not share a file.
     split = bool(args.split_train)
-    mode = "with --split-train" if split else "without --split-train"
-    for flag, written in (("--train-out", split), ("--test-out", split), ("--out", not split)):
-        if bool(getattr(args, flag[2:].replace("-", "_"))) != written:
-            raise ConfigError(f"{flag} is {'required' if written else 'not written'} {mode}")
+    _refuse_unread_flags(args, split=split)
+    outputs = ("--train-out", "--test-out") if split else ("--out",)
+    for flag in outputs:
+        if not getattr(args, _dest(flag), ""):
+            raise ConfigError(f"{flag} is required {'with' if split else 'without'} --split-train")
     if split and os.path.realpath(args.train_out) == os.path.realpath(args.test_out):
         raise ConfigError(f"--train-out and --test-out are the same file, {args.train_out}")
     d = dataset.downsample(dataset.load(args.data), args.downsample)
     if split:
-        train, test = dataset.split(d, args.split_train, args.split_test, args.split_seed)
+        train, test = dataset.split(d, args.split_train, getattr(args, "split_test", 0),
+                                    getattr(args, "split_seed", 0))
         if args.normalize:
             train = dataset.normalize_fit(train)
             test = dataset.normalize_apply(train.normalization, test)
@@ -196,8 +279,9 @@ def cmd_prep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    d = dataset.load(args.data)
+    _refuse_unread_flags(args, kind=args.kind)
     trainer = classifiers.make_trainer(args.kind, **_hyperparams(args))
+    d = dataset.load(args.data)
     t0 = time.perf_counter()
     model = trainer(d)
     train_seconds = time.perf_counter() - t0
@@ -240,9 +324,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    d = dataset.load(args.data)
+    _refuse_unread_flags(args, kind=args.kind)
     hyperparams = _hyperparams(args)
     trainer = classifiers.make_trainer(args.kind, **hyperparams)
+    d = dataset.load(args.data)
     result = evaluation.cross_validate(trainer, d, args.folds, args.seed)
     doc = {
         "format": "perfprint-crossval",
@@ -262,12 +347,13 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    _refuse_unread_flags(args, kind=args.kind)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
         raise ConfigError(f"--sizes takes comma-separated integers, got {args.sizes!r}") from None
-    d = dataset.load(args.data)
     trainer = classifiers.make_trainer(args.kind, **_hyperparams(args))
+    d = dataset.load(args.data)
     curve = evaluation.learning_curve(trainer, d, sizes, args.n_test, args.seed)
     evaluation.write_curve_csv(curve, args.out)
     for size in sorted(curve):
@@ -275,20 +361,14 @@ def cmd_curve(args) -> int:
     return 0
 
 
-# Each --policy choice's policy, built from the parsed arguments.
-_POLICIES = {
-    "noise": lambda a: mitigation.MitigationPolicy.noise_injection(a.sigma, seed=a.policy_seed),
-    "downsample": lambda a: mitigation.MitigationPolicy.sampling_degradation(a.factor),
-    "deny": lambda a: mitigation.MitigationPolicy.access_denied(),
-}
-
-
 def cmd_mitigate(args) -> int:
-    d = dataset.load(args.data)
-    policy = _POLICIES[args.policy](args)
-    _check_finite("--sigma", args.sigma)  # the report records it under every policy
+    _refuse_unread_flags(args, kind=args.kind, policy=args.policy)
+    policy_params = _keywords(args, _POLICIES[args.policy], _POLICY_FLAGS[args.policy])
+    policy = _POLICIES[args.policy](**policy_params)
+    policy_params.pop("seed", None)  # the report records it in "seeds"
     hyperparams = _hyperparams(args)
     trainer = classifiers.make_trainer(args.kind, **hyperparams)
+    d = dataset.load(args.data)
     result = mitigation.leakage_report(
         trainer, d, policy, args.n_train, args.n_test, args.split_seed
     )
@@ -297,7 +377,7 @@ def cmd_mitigate(args) -> int:
         "version": 1,
         "kind": args.kind,
         "policy": args.policy,
-        "policy_params": {"sigma": args.sigma, "factor": args.factor},
+        "policy_params": policy_params,
         "before": evaluation.report_to_dict(result.before),
         "after": evaluation.report_to_dict(result.after),
         "accuracy_delta": result.accuracy_delta,
@@ -326,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="preset name or JSON config file")
     p.add_argument("--label", required=True)
     p.add_argument("--out", required=True, help="trace file to append to")
-    p.add_argument("--await", dest="await_pattern", default=None,
+    p.add_argument("--await", default=argparse.SUPPRESS,
                    help="wait for a new process matching this name")
-    p.add_argument("--await-timeout", type=float, default=30.0)
-    p.add_argument("--pid", type=int, default=None)
+    p.add_argument("--await-timeout", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--pid", type=int, default=argparse.SUPPRESS)
     p.add_argument("--cpu", type=int, default=None)
     p.set_defaults(func=cmd_collect)
 
@@ -351,11 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--downsample", type=int, default=1)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--split-train", type=int, default=0, help="train measurements per class")
-    p.add_argument("--split-test", type=int, default=0)
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--train-out")
-    p.add_argument("--test-out")
-    p.add_argument("--out")
+    p.add_argument("--split-test", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--split-seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--train-out", default=argparse.SUPPRESS)
+    p.add_argument("--test-out", default=argparse.SUPPRESS)
+    p.add_argument("--out", default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("train", help="train a classifier on a dataset file")
@@ -391,9 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mitigate", help="before/after leakage comparison")
     p.add_argument("--data", required=True)
     p.add_argument("--policy", required=True, choices=tuple(_POLICIES))
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--factor", type=int, default=2)
-    p.add_argument("--policy-seed", type=int, default=0)
+    _add_mode_flags(p, _POLICY_FLAGS)
     p.add_argument("--n-train", type=int, required=True)
     p.add_argument("--n-test", type=int, required=True)
     p.add_argument("--split-seed", type=int, default=0)

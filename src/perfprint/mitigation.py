@@ -40,11 +40,11 @@ class MitigationPolicy:
             raise ConfigError(f"factor must be >= 2, got {self.factor}")
 
     @classmethod
-    def noise_injection(cls, sigma: float, seed: int = 0) -> "MitigationPolicy":
+    def noise_injection(cls, sigma: float = 1.0, seed: int = 0) -> "MitigationPolicy":
         return cls(kind=PolicyKind.NOISE_INJECTION, sigma=sigma, seed=seed)
 
     @classmethod
-    def sampling_degradation(cls, factor: int) -> "MitigationPolicy":
+    def sampling_degradation(cls, factor: int = 2) -> "MitigationPolicy":
         return cls(kind=PolicyKind.SAMPLING_DEGRADATION, factor=factor)
 
     @classmethod

@@ -322,12 +322,13 @@ def test_mitigate_rejects_a_sigma_that_is_not_finite(tmp_path, capsys, sigma):
 
 @pytest.mark.parametrize("policy", ["downsample", "deny"])
 def test_mitigate_rejects_a_sigma_that_is_not_finite_under_any_policy(tmp_path, capsys, policy):
-    # The report records --sigma whatever the policy, and JSON has no nan.
+    # Only the noise policy reads --sigma, so any other refuses it, whatever its value.
     full, out = tmp_path / "full.csv", tmp_path / "leak.json"
     assert run(*synth_args(full)) == 0
     assert run("mitigate", "--data", full, "--policy", policy, "--sigma", "nan", "--kind", "knn",
                "--n-train", 6, "--n-test", 2, "--out", out) == 2
-    assert capsys.readouterr().err == "error: --sigma must be finite, got nan\n"
+    assert capsys.readouterr().err == (
+        f"error: --sigma is a --policy noise flag, not one for --policy {policy}\n")
     assert not out.exists()
 
 
@@ -728,3 +729,125 @@ def test_a_bad_path_or_value_prints_one_error_line(tmp_path, capsys, case, code)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
     assert (target.read_bytes() if target.is_file() else None) == kept
+
+
+def _subcommands():
+    """Each subcommand's parser, by name, from `cli.build_parser()`."""
+    (sub,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_the_mode_table_lists_every_optional_flag_once(command):
+    # A flag added to the parser without a table entry fails here.
+    optional = [a.option_strings[-1] for a in _subcommands()[command]._actions
+                if a.option_strings and not a.required and a.dest != "help"]
+    assert sorted(optional) == sorted(cli._FLAG_MODES[command])
+
+
+# Every command's required arguments, and for each selector an argv that
+# puts it in each of its modes (collect's core-wide scope is reached by a
+# core-wide preset and by --cpu).
+_REQUIRED = {
+    "collect": ["--label", "x", "--out", "trace.csv"],
+    "prep": ["--data", "full.csv"],
+    "train": ["--data", "full.csv", "--out", "m.json"],
+    "crossval": ["--data", "full.csv", "--out", "cv.json"],
+    "curve": ["--data", "full.csv", "--sizes", "2", "--n-test", "1", "--out", "c.csv"],
+    "mitigate": ["--data", "full.csv", "--n-train", "2", "--n-test", "1", "--out", "l.json",
+                 "--kind", "knn", "--policy", "deny"],
+}
+_MODE_ARGVS = {
+    "kind": {kind: [["--kind", kind]] for kind in classifiers.MODEL_KINDS},
+    "policy": {policy: [["--policy", policy]] for policy in cli._POLICIES},
+    "split": {True: [["--split-train", "2", "--train-out", "a.csv", "--test-out", "b.csv"]],
+              False: [["--out", "o.csv"]]},
+    "target": {"core": [["--scenario", "ChromeArm"], ["--scenario", "TorIntel", "--cpu", "0"]],
+               "fixed": [["--scenario", "pid0.json"]],
+               "pid": [["--scenario", "TorIntel", "--pid", "1"]],
+               "await": [["--scenario", "TorIntel", "--await", "tor"]]},
+}
+_FLAG_CASES = [
+    (command, flag, mode == owner[1], argv)
+    for command, flags in cli._FLAG_MODES.items()
+    for flag, owner in flags.items() if owner is not None
+    for mode, argvs in _MODE_ARGVS[owner[0]].items()
+    for argv in argvs
+]
+
+
+@pytest.mark.parametrize("command, flag, inside, mode_argv", _FLAG_CASES,
+                         ids=[f"{c}{f}-{'in' if i else 'outside'}-{'-'.join(a)}"
+                              for c, f, i, a in _FLAG_CASES])
+def test_a_flag_outside_its_mode_is_refused_before_anything_is_read(
+        tmp_path, capsys, monkeypatch, command, flag, inside, mode_argv):
+    # Inside its mode the flag lets the command reach its first read, which
+    # the spies stop; outside it, the command exits 2 before any read.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pid0.json").write_text(json.dumps({
+        "events": ["instructions"], "scope": {"type": "process", "pid": 0}, "duration_s": 0.01}))
+    reads = []
+
+    def spy(name):
+        def read(*args, **kwargs):
+            reads.append(name)
+            raise DataError(f"{name} called")
+        return read
+
+    monkeypatch.setattr(dataset, "load", spy("load"))
+    monkeypatch.setattr(collector, "collect", spy("collect"))
+    monkeypatch.setattr(collector, "await_target_process", spy("await"))
+    (action,) = [a for a in _subcommands()[command]._actions if flag in a.option_strings]
+    value = {int: "2", float: "0.5"}.get(action.type, "given.csv")
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    code = run(command, *_REQUIRED[command], *mode_argv, flag, value)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if inside:
+        assert (code, len(reads)) == (3, 1), err
+    else:
+        assert code == 2 and " flag, not one for " in err, err
+        assert reads == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+# A model or policy value that cannot be used, for each command that trains.
+@pytest.mark.parametrize("argv", [
+    ["train", "--kind", "svm", "--C", "nan", "--out", "m.json"],
+    ["crossval", "--kind", "net", "--l2", "inf", "--out", "cv.json"],
+    ["curve", "--kind", "svm", "--tol", "nan", "--sizes", "2", "--n-test", "1", "--out", "c.csv"],
+    ["mitigate", "--kind", "knn", "--policy", "noise", "--sigma", "-1",
+     "--n-train", "2", "--n-test", "1", "--out", "l.json"],
+    ["mitigate", "--kind", "knn", "--policy", "downsample", "--factor", "1",
+     "--n-train", "2", "--n-test", "1", "--out", "l.json"],
+], ids=["train-C", "crossval-l2", "curve-tol", "mitigate-sigma", "mitigate-factor"])
+def test_a_bad_model_or_policy_value_exits_before_the_data_is_read(
+        tmp_path, capsys, monkeypatch, argv):
+    full = tmp_path / "full.csv"
+    assert run(*synth_args(full, classes=2, per_class=4, samples=8)) == 0
+    monkeypatch.chdir(tmp_path)
+    loads = []
+    monkeypatch.setattr(dataset, "load", lambda path: loads.append(path))
+    capsys.readouterr()
+    assert run(*argv, "--data", full) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert loads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["full.csv"]
+
+
+@pytest.mark.parametrize("policy, flags, params", [
+    ("noise", [], {"sigma": 1.0}),
+    ("noise", ["--sigma", 0.5, "--policy-seed", 3], {"sigma": 0.5}),
+    ("downsample", [], {"factor": 2}),
+    ("downsample", ["--factor", 4], {"factor": 4}),
+    ("deny", [], {}),
+])
+def test_mitigate_records_only_the_chosen_policys_parameters(tmp_path, policy, flags, params):
+    full, out = tmp_path / "full.csv", tmp_path / "leak.json"
+    assert run(*synth_args(full)) == 0
+    assert run("mitigate", "--data", full, "--policy", policy, *flags, "--kind", "knn",
+               "--n-train", 6, "--n-test", 2, "--out", out) == 0
+    doc = json.loads(out.read_text())
+    assert doc["policy_params"] == params
+    assert doc["seeds"]["policy_seed_train"] == (3 if "--policy-seed" in flags else 0)
