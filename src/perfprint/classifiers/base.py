@@ -21,11 +21,9 @@ train on and reads its classes, feature matrix and label indices once.
 
 from __future__ import annotations
 
-import base64
-
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 
 
 class Model:
@@ -101,13 +99,6 @@ def _floats(value) -> list[float]:
     return [float(v) for v in value]
 
 
-def _decode(obj: dict) -> np.ndarray:
-    """A version-1 file's array: its shape and base64-packed little-endian
-    bytes."""
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
-
-
 def training_arrays(train, min_classes: int = 1):
     """The prologue of every trainer: a DataError for an empty dataset or
     one with fewer than `min_classes` classes, else (classes, X, y) with
@@ -119,3 +110,11 @@ def training_arrays(train, min_classes: int = 1):
     if len(classes) < min_classes:
         raise DataError(f"need at least {min_classes} classes, dataset has {len(classes)}")
     return classes, train.feature_matrix(), train.label_indices(classes)
+
+
+def check_floors(*floors):
+    """A ConfigError for the first (name, value, floor) whose value is not
+    >= its floor; nan is not, so a nan keyword is refused too."""
+    for name, value, floor in floors:
+        if not value >= floor:
+            raise ConfigError(f"{name} must be >= {floor}, got {value}")

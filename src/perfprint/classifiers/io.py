@@ -23,6 +23,7 @@ file (one JSON line, each array base64 text, no diagnostics) still loads.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -31,7 +32,6 @@ import numpy as np
 
 from ..dataset import _write_atomic
 from ..errors import DataError
-from .base import _decode
 from .knn import KnnModel
 from .net import AutoencoderNetModel
 from .svm import LinearSvmModel
@@ -93,6 +93,13 @@ def _read_arrays(fh, payload: dict, data_size: int):
         if fh.readinto(array) != array.nbytes:
             raise DataError(f"array {name!r} is cut short")
         payload[name] = array.astype(np.float64, copy=False)
+
+
+def _decode(obj: dict) -> np.ndarray:
+    """A version-1 file's array: its shape and base64-packed little-endian
+    bytes."""
+    raw = base64.b64decode(obj["data"])
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
 
 
 def load_model(path: str):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, rank_by, training_arrays
+from .base import Model, _array, check_floors, rank_by, training_arrays
 
 
 class KnnModel(Model):
@@ -72,11 +72,10 @@ class KnnModel(Model):
         if not np.isfinite(dists).all():
             raise DataError("knn: a query's distances are not finite; its features must be "
                             "finite and small enough that their squares are")
-        rows = np.arange(self.train_x.shape[0])
         out = np.empty((X.shape[0], self.n_classes), dtype=np.int64)
         for q in range(X.shape[0]):
             d = dists[q]
-            order = np.lexsort((rows, self.train_y, d))
+            order = np.lexsort((self.train_y, d))
             nearest = order[: self.k]
             nearest_y = self.train_y[nearest]
             votes = np.bincount(nearest_y, minlength=self.n_classes)
@@ -92,8 +91,7 @@ def train_knn(train, k: int = 1) -> KnnModel:
     """Store the training set verbatim; k defaults to the single nearest
     neighbor."""
     classes, X, y = training_arrays(train)
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_floors(("k", k, 1))
     if k > len(y):
         raise ConfigError(f"k={k} exceeds training set size {len(y)}")
     return KnnModel(classes=classes, train_x=X, train_y=y, k=k)

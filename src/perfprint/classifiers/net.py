@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, _floats, rank_by, training_arrays
+from .base import Model, _array, _floats, check_floors, rank_by, training_arrays
 
 DEFAULT_MEMORY_BUDGET_MB = 2048.0
 _MIN_LEARNING_RATE = 1e-15
@@ -343,13 +343,16 @@ def train_net(
     same cap but have their own knobs.
     """
     classes, X, y = training_arrays(train, min_classes=2)
-    if max_iterations < 1:
-        raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
     n_classes = len(classes)
     h1 = 100 * n_classes if hidden1 is None else hidden1
     h2 = 10 * n_classes if hidden2 is None else hidden2
-    if h1 < 1 or h2 < 1:
-        raise ConfigError("hidden layer sizes must be >= 1")
+    softmax_iterations = max_iterations if softmax_iterations is None else softmax_iterations
+    finetune_iterations = max_iterations if finetune_iterations is None else finetune_iterations
+    check_floors(("max_iterations", max_iterations, 1), ("softmax_iterations", softmax_iterations, 1),
+                 ("finetune_iterations", finetune_iterations, 1), ("l2_weight", l2_weight, 0),
+                 ("hidden1", h1, 1), ("hidden2", h2, 1))
+    if not learning_rate > 0:
+        raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
     n, d = X.shape
 
     needed = estimate_memory_mb(n, d, h1, h2, n_classes)
@@ -358,9 +361,6 @@ def train_net(
             f"network needs ~{needed:.0f} MB, budget is {memory_budget_mb:.0f} MB; "
             "downsample the input data to shrink the feature vectors"
         )
-
-    softmax_iterations = max_iterations if softmax_iterations is None else softmax_iterations
-    finetune_iterations = max_iterations if finetune_iterations is None else finetune_iterations
 
     # No other name holds a stage's initial weights, so `descend` can free them.
     rng = np.random.default_rng(seed)

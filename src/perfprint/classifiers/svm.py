@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .base import Model, _array, _floats, rank_by, training_arrays
+from .base import Model, _array, _floats, check_floors, rank_by, training_arrays
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 1000
@@ -252,8 +252,9 @@ def train_svm(
     """Fit all N*(N-1)/2 pairwise linear classifiers. The model keeps how
     each pair was solved as `solve_stats`, one SolveStats per pair."""
     classes, X, y = training_arrays(train, min_classes=2)
-    if c <= 0:
+    if not c > 0:
         raise ConfigError(f"C must be > 0, got {c}")
+    check_floors(("tol", tol, 0), ("max_passes", max_passes, 1))
     pairs = list(itertools.combinations(range(len(classes)), 2))
     xa = _with_ones(X)
     with np.errstate(over="ignore", invalid="ignore"):

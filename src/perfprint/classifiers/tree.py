@@ -13,7 +13,7 @@ import heapq
 import numpy as np
 
 from ..errors import DataError
-from .base import Model, _floats, rank_by, training_arrays
+from .base import Model, _floats, check_floors, rank_by, training_arrays
 
 _FEATURE_CHUNK = 128  # bounds the (n, chunk, classes) temporaries
 
@@ -189,6 +189,7 @@ def train_tree(
     n_classes = len(classes)
     if max_splits is None:
         max_splits = max(n_classes - 1, 1)
+    check_floors(("max_splits", max_splits, 0), ("min_leaf", min_leaf, 1))
     n_total = len(y)
     class_frequency = np.bincount(y, minlength=n_classes)
 

@@ -216,18 +216,11 @@ def cmd_collect(args) -> int:
         print(f"target process {pid} matched {pattern!r}")
         config = config.with_pid(pid)
     raw = collector.collect(config)
-    measurement = dataset.concatenate(raw, args.label)
     captured_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    measurement = replace(measurement, meta={**measurement.meta, "captured_at": captured_at})
-    dataset.append_measurement(
-        args.out,
-        measurement,
-        dataset_meta={
-            "scenario": scenario_name,
-            "events": config.event_names,
-            "samples_per_event": config.expected_samples,
-        },
-    )
+    measurement = replace(dataset.concatenate(raw, args.label), meta={"captured_at": captured_at})
+    layout = {"scenario": scenario_name, "events": config.event_names,
+              "samples_per_event": config.expected_samples}
+    dataset.append_measurement(args.out, measurement, dataset_meta=layout)
     print(f"appended {len(measurement.features)}-feature measurement "
           f"labeled {args.label!r} to {args.out}")
     return 0

@@ -7,6 +7,9 @@ operation returns a new value.
 File format: one self-describing JSON header line, then one CSV row per
 measurement (`label,feature_0,...`), floats at 9 significant digits. Every
 feature is finite: `nan` and infinities are refused on write and on load.
+The header alone records a trace file's layout (`scenario`, `events`,
+`samples_per_event`); a row's meta holds facts about that row only, such
+as `captured_at` or `visit`.
 
 Rows whose values are all integers below 1e9 in magnitude (counter
 samples) are written through `%d`, the same text `%.9g` gives.
@@ -26,7 +29,8 @@ Every dataset write is atomic: the file is written beside its target and
 renamed over it, so a failed write leaves the old file as it was. Appending
 a measurement re-reads and re-validates the whole file as `load` does, but
 re-writes only the header and the new row; the existing rows are copied as
-they stand.
+they stand. An append whose dataset meta disagrees with the file's on any
+key the file holds is refused, and the file keeps its bytes.
 """
 
 from __future__ import annotations
@@ -151,27 +155,16 @@ class Dataset:
 
 
 def concatenate(raw: RawTraceSet, label: str) -> Measurement:
-    """Turn a raw trace set into one labeled measurement.
-
-    Per-event series are truncated or zero-padded to the configured expected
-    length, then joined in config event order.
-    """
+    """A raw trace set as one labeled measurement: its per-event series
+    joined in config event order. Each series must hold exactly the
+    config's expected samples. The row carries no layout meta; a trace
+    file's header alone records the layout."""
     expected = raw.config.expected_samples
-    parts = []
-    for name in raw.config.event_names:
-        series = np.asarray(raw.counts[name], dtype=np.float64)
-        if len(series) >= expected:
-            parts.append(series[:expected])
-        else:
-            parts.append(np.concatenate([series, np.zeros(expected - len(series))]))
-    return Measurement(
-        label=label,
-        features=np.concatenate(parts),
-        meta={
-            "events": raw.config.event_names,
-            "samples_per_event": expected,
-        },
-    )
+    if raw.samples_per_event != expected:
+        raise DataError(f"trace set holds {raw.samples_per_event} samples per event, "
+                        f"its config expects {expected}")
+    parts = [raw.counts[name] for name in raw.config.event_names]
+    return Measurement(label=label, features=np.concatenate(parts))
 
 
 def normalize_fit(train: Dataset) -> Dataset:
@@ -536,26 +529,28 @@ def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = No
     The existing file is parsed and validated in full, as `load` does. Only
     the header (class list, row metadata, merged meta) and the new row are
     formatted; the existing row lines are copied verbatim. Feature length
-    must match what the file already holds.
+    must match what the file already holds, and so must every key of
+    `dataset_meta` the file already holds; keys the file lacks are added.
     """
     _check_row(m)
-    rows: list[str] = []
-    if os.path.exists(path):
-        d, rows = _parse(path)
-        if len(d) and d.feature_length != len(m.features):
-            raise DataError(
-                f"{path}: holds {d.feature_length}-feature rows, "
-                f"cannot append {len(m.features)}"
-            )
-        merged_meta = dict(d.meta)
-        merged_meta.update(dataset_meta or {})
-        d = Dataset(
-            measurements=d.measurements + (m,),
-            normalization=d.normalization,
-            meta=merged_meta,
+    d, rows = _parse(path) if os.path.exists(path) else (Dataset(measurements=()), [])
+    if len(d) and d.feature_length != len(m.features):
+        raise DataError(
+            f"{path}: holds {d.feature_length}-feature rows, "
+            f"cannot append {len(m.features)}"
         )
-    else:
-        d = Dataset(measurements=(m,), meta=dict(dataset_meta or {}))
+    meta = dict(d.meta)
+    # Compared as the header holds them (a tuple reads back as a list). setdefault
+    # adds a key the file lacks and returns the file's value of the others.
+    conflicts = [
+        f"{key} is {meta[key]!r} in the file, {value!r} in the append"
+        for key, value in json.loads(json.dumps(dataset_meta or {})).items()
+        if meta.setdefault(key, value) != value
+    ]
+    if conflicts:
+        raise DataError(f"{path}: the append's dataset meta disagrees with the file's: "
+                        + "; ".join(conflicts))
+    d = Dataset(measurements=d.measurements + (m,), normalization=d.normalization, meta=meta)
     _write_atomic(
         path,
         itertools.chain([_header_line(d)], (row + "\n" for row in rows), [_format_row(m)]),

@@ -146,6 +146,39 @@ def test_collect_with_tiny_config(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _exact_collect(config):
+    """A stand-in for `collector.collect`: one count per interval, exactly
+    the expected number of samples of each event."""
+    n = config.expected_samples
+    return collector.RawTraceSet(
+        counts={event: np.ones(n, dtype=np.int64) for event in config.event_names},
+        timestamps=np.arange(1, n + 1) * config.read_interval_us / 1e6,
+        config=config,
+    )
+
+
+def test_collect_appends_one_layout_and_refuses_another(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(collector, "collect", _exact_collect)
+    out = tmp_path / "traces.csv"
+    for label in ("a.org", "b.org"):
+        assert run("collect", "--scenario", "TorIntel", "--pid", 1, "--label", label,
+                   "--out", out) == 0
+    d = dataset.load(str(out))
+    assert d.labels() == ["a.org", "b.org"]
+    assert d.meta == {"scenario": "TorIntel", "samples_per_event": 50_000,
+                      "events": ["branch-instructions", "cache-references", "llc-loads"]}
+    assert [list(m.meta) for m in d.measurements] == [["captured_at"], ["captured_at"]]
+
+    # ChromeArm's 6 x 25,000 features are as many as TorIntel's 3 x 50,000.
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert run("collect", "--scenario", "ChromeArm", "--label", "c.org", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "scenario is 'TorIntel' in the file, 'ChromeArm' in the append" in err
+    assert out.read_bytes() == before
+
+
 def test_missing_data_file_exits_three(tmp_path):
     assert run("train", "--data", tmp_path / "none.csv", "--kind", "knn",
                "--out", tmp_path / "m.json") == 3
@@ -636,6 +669,20 @@ def test_evaluate_tree_on_data_holding_its_split_features(tmp_path):
     nodes = _envelope(model)["payload"]["nodes"]
     assert max(n["feature"] for n in nodes if "feature" in n) < 40
     assert run("evaluate", "--data", half, "--model", model, "--out-dir", tmp_path / "r") == 0
+
+
+@pytest.mark.parametrize("kind, flag, value, message", [
+    ("net", "--lr", "0", "learning_rate must be > 0, got 0.0"),
+    ("svm", "--max-passes", "0", "max_passes must be >= 1, got 0"),
+    ("tree", "--min-leaf", "-2", "min_leaf must be >= 1, got -2"),
+])
+def test_a_model_flag_outside_its_range_exits_two(tmp_path, capsys, kind, flag, value, message):
+    full, out = tmp_path / "full.csv", tmp_path / "m.json"
+    assert run(*synth_args(full, classes=2, per_class=4, samples=8)) == 0
+    capsys.readouterr()
+    assert run("train", "--data", full, "--kind", kind, flag, value, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # For each command that trains: a flag of another kind, and the kind it

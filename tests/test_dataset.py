@@ -27,17 +27,11 @@ def _raw(counts, duration_s=0.001, read_interval_us=200):
     )
 
 
-def test_concatenate_zero_pads_short_series():
-    raw = _raw({"instructions": [5, 7]}, duration_s=0.0008)  # expects 4 samples
-    m = dataset.concatenate(raw, "site-a")
-    assert m.label == "site-a"
-    assert m.features.tolist() == [5.0, 7.0, 0.0, 0.0]
-
-
-def test_concatenate_truncates_long_series():
-    raw = _raw({"instructions": [1, 2, 3, 4, 5, 6]}, duration_s=0.0008)
-    m = dataset.concatenate(raw, "a")
-    assert m.features.tolist() == [1.0, 2.0, 3.0, 4.0]
+@pytest.mark.parametrize("series", [[5, 7], [1, 2, 3, 4, 5, 6]], ids=["short", "long"])
+def test_concatenate_refuses_a_series_of_another_length(series):
+    raw = _raw({"instructions": series}, duration_s=0.0008)  # expects 4 samples
+    with pytest.raises(DataError, match=f"holds {len(series)} samples per event, its config expects 4"):
+        dataset.concatenate(raw, "site-a")
 
 
 def test_concatenate_follows_config_event_order():
@@ -47,7 +41,7 @@ def test_concatenate_follows_config_event_order():
     )
     m = dataset.concatenate(raw, "a")
     assert m.features.tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert m.meta["events"] == ["branch-instructions", "cache-references"]
+    assert m.label == "a" and m.meta == {}
 
 
 def test_concatenate_chrome_arm_length():
@@ -305,6 +299,41 @@ def test_append_measurement(tmp_path):
     bad = Measurement(label="c", features=np.array([1.0]))
     with pytest.raises(DataError, match="append"):
         dataset.append_measurement(str(path), bad)
+
+
+def _preset_trace(name, read_interval_us):
+    config = preset(name, read_interval_us).config
+    counts = {event: np.ones(config.expected_samples, dtype=np.int64) for event in config.event_names}
+    raw = RawTraceSet(counts=counts, timestamps=np.arange(config.expected_samples, dtype=float),
+                      config=config)
+    meta = {"scenario": name, "events": config.event_names,
+            "samples_per_event": config.expected_samples}
+    return dataset.concatenate(raw, name), meta
+
+
+def test_append_of_another_layout_is_refused(tmp_path):
+    # At these intervals both presets give 15,000 features: 3 x 5,000 on
+    # Intel, 6 x 2,500 on ARM. So the feature length alone cannot tell them apart.
+    path = tmp_path / "traces.csv"
+    tor, tor_meta = _preset_trace("TorIntel", 1000)
+    arm, arm_meta = _preset_trace("ChromeArm", 2000)
+    assert len(tor.features) == len(arm.features) == 15_000
+    dataset.append_measurement(str(path), tor, dataset_meta=tor_meta)
+    before = path.read_bytes()
+    with pytest.raises(DataError) as exc:
+        dataset.append_measurement(str(path), arm, dataset_meta=arm_meta)
+    message = str(exc.value)
+    for key in ("scenario", "events", "samples_per_event"):
+        assert f"{key} is {tor_meta[key]!r} in the file, {arm_meta[key]!r} in the append" in message
+    assert path.read_bytes() == before
+
+    # The same layout appends, also with its events as a tuple, and a key
+    # the file lacks is added.
+    dataset.append_measurement(str(path), tor, dataset_meta={
+        **tor_meta, "events": tuple(tor_meta["events"]), "host": "h1"})
+    d = dataset.load(str(path))
+    assert len(d) == 2 and d.meta == {**tor_meta, "host": "h1"}
+    assert [m.meta for m in d.measurements] == [{}, {}]
 
 
 def _header(**overrides):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from perfprint.classifiers import (MODEL_KINDS, KnnModel, Model, io, load_model,
                                    net, save_model)
 from perfprint.classifiers.base import rank_by
 from perfprint.dataset import write_json
-from perfprint.errors import DataError
+from perfprint.errors import ConfigError, DataError
 
 from helpers import build_dataset, random_dataset
 from oracles import save_model_v1
@@ -29,6 +30,37 @@ def toy():
     d = random_dataset(rng, 4, 6, 5, spread=6.0)
     queries = rng.normal(scale=4.0, size=(12, 5))
     return d, queries
+
+
+NAN = float("nan")
+
+
+# Each keyword outside its range. A nan fails every range, so each check is
+# written to refuse it.
+@pytest.mark.parametrize("kind,keyword,value", [
+    ("net", "learning_rate", -0.1),
+    ("net", "learning_rate", 0.0),
+    ("net", "learning_rate", NAN),
+    ("net", "l2_weight", -1.0),
+    ("net", "l2_weight", NAN),
+    ("net", "max_iterations", NAN),
+    ("net", "softmax_iterations", -2),
+    ("net", "finetune_iterations", -3),
+    ("net", "hidden1", 0),
+    ("svm", "c", NAN),
+    ("svm", "max_passes", 0),
+    ("svm", "max_passes", -1),
+    ("svm", "tol", -1.0),
+    ("svm", "tol", NAN),
+    ("tree", "max_splits", -4),
+    ("tree", "min_leaf", -2),
+    ("tree", "min_leaf", NAN),
+])
+def test_a_trainer_keyword_outside_its_range_is_refused(toy, kind, keyword, value):
+    d, _ = toy
+    name = "C" if keyword == "c" else keyword
+    with pytest.raises(ConfigError, match=rf"^{name} must be >=? [01], got {re.escape(str(value))}$"):
+        make_trainer(kind, **{keyword: value})(d)
 
 
 @pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
