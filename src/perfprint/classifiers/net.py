@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, check_seed
 from .base import Model, _array, _floats, check_floors, rank_by, training_arrays
 
 DEFAULT_MEMORY_BUDGET_MB = 2048.0
@@ -25,15 +25,19 @@ _STOP_REASONS = ("budget", "rate underflow")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # e = exp(-|z|) never overflows. Negating z only where z >= 0 keeps a
-    # nan's sign bit, which -np.abs(z) would flip. Working in place holds
-    # two z-sized arrays at most.
-    pos = z >= 0
-    e = np.negative(z, out=z.copy(), where=pos)
+    # Branch-free: e = exp(-|z|) never overflows, the numerator is 1 where
+    # z >= 0 and e elsewhere, and the result is numerator / (1 + e), the
+    # same IEEE operations on the same operands as exp(-z) where z >= 0 and
+    # exp(z) / (1 + exp(z)) elsewhere. It relies on np.minimum and
+    # np.maximum returning the nan operand (the first of two nans), so a
+    # nan z stays its own nan; that was verified on numpy 2.4.6 only.
+    # Working in place holds two z-sized arrays at most.
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
     np.exp(e, out=e)
     d = 1.0 + e
-    np.divide(e, d, out=e)  # e / (1 + e), kept where z < 0
-    return np.divide(1.0, d, out=e, where=pos)
+    np.maximum(e, z >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -362,6 +366,7 @@ def train_net(
             "downsample the input data to shrink the feature vectors"
         )
 
+    check_seed(seed)
     # No other name holds a stage's initial weights, so `descend` can free them.
     rng = np.random.default_rng(seed)
     ae1_init = [glorot_uniform(rng, d, h1), np.zeros(h1), glorot_uniform(rng, h1, d), np.zeros(d)]

@@ -4,6 +4,16 @@ Growth is best-first under a global split budget: the frontier node whose
 best split removes the most weighted entropy is expanded next. Candidate
 thresholds are midpoints between consecutive distinct sorted values of a
 feature within the node.
+
+`best_split` finds a node's split in two steps. A screen scores every cut
+of every feature in O(n) per feature with the count update of CART and
+C4.5: moving one row from the right side to the left changes one class
+count on each side, so the children's entropies follow from two running
+sums. It keeps only the cuts whose screened score is within its proven
+rounding bound of the best one. Those few are then scored exactly as the
+O(n·d·C) scan used to score every cut, so the chosen splits, their gains
+and the model files are the ones that scan gave. The screen works through
+the features in chunks whose temporaries hold about `_SCREEN_BYTES`.
 """
 
 from __future__ import annotations
@@ -15,7 +25,14 @@ import numpy as np
 from ..errors import DataError
 from .base import Model, _floats, check_floors, rank_by, training_arrays
 
-_FEATURE_CHUNK = 128  # bounds the (n, chunk, classes) temporaries
+# The screen's (chunk, n) temporaries hold about _SCREEN_BYTES together: at
+# most three 8-byte arrays and a few byte-wide ones are live at once.
+_SCREEN_BYTES = 2 << 20
+_SCREEN_CELL_BYTES = 32
+# np.log2 of a float64 is taken to be within 4 ulp of the exact value, so
+# its relative error is at most _LOG2_ERROR units of roundoff.
+_LOG2_ERROR = 8
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _entropy_terms(n: int) -> np.ndarray:
@@ -43,49 +60,153 @@ def _split_threshold(lo: float, hi: float) -> float:
     return mid if lo <= mid < hi else lo
 
 
+def _screen_margin(n: int, n_classes: int) -> float:
+    """How far below the best screened score a cut may sit and still be the
+    cut that the exact scoring ranks first.
+
+    Write f(c) = c*log2(c), u = 2**-53 for the unit roundoff, L = log2(n),
+    K = log2(max(C, 2)) for C classes, and λ = `_LOG2_ERROR` for the
+    relative error of np.log2. A side of m rows with class counts c has
+    m*H = f(m) - Σ f(c), so a cut with i+1 rows on the left has
+    n*gain = const + s, where s = Σ_{rows r <= i} w_r - f(i+1) - f(n-i-1)
+    and w_r = [f(o+1) - f(o)] - [f(P-o) - f(P-o-1)] for a row of a class
+    with P rows in the node and o rows before it in the sorted order.
+
+    ε_screen, how far the computed s can be from the true s, in units of
+    n*gain:
+      - each f(c) has relative error (λ+1)u, and f(c) <= n*L, so each w
+        is off by at most 4(λ+2)u*n*L from its four f values plus 3u(L+2)
+        from its three subtractions (|w| <= L + 1.45);
+      - the running sum of at most n of them adds (n-1)u*Σ|w|, the
+        recursive-summation bound (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., 2002, §4.2);
+      - the two size terms and two subtractions add 2(λ+2)u*n*L +
+        2u*n(3L+2).
+    For n >= 2 the sum is below u*n²*((5λ+16)L + 8); the rounding up of
+    the constants covers the second-order terms.
+
+    ε_exact, how far the gain that the exact scoring computes (the
+    arithmetic whose result `best_split` returns) can be from the true
+    gain, in bits:
+      - a table entry p*log2(p), p = c/t, is off by at most
+        (λ+3)u*|p*log2 p| + 2u*p (the rounding of c/t moves log2 by at
+        most 1.45u), so one side's C entries are off by (λ+3)u*H + 2u;
+      - summing them over the class axis, in any order, adds (C-1)u*H,
+        and H <= K;
+      - the parent's entropy has the same bound, and the weighted child
+        and the subtraction add at most 4u*K.
+    So ε_exact <= u*((2C + 2λ + 9)K + 5).
+
+    Any cut c whose computed gain is the highest and the cut c' with the
+    best screened score satisfy s(c) >= s(c') - 2(ε_screen + n*ε_exact):
+    c's true gain is at most ε_exact below its computed gain, which is not
+    below c''s computed gain, which is at most ε_exact below c''s true
+    gain; and each screened score is within ε_screen of its true value.
+    So every cut that could win survives the screen.
+    """
+    big_l = np.log2(n)
+    big_k = np.log2(max(n_classes, 2))
+    eps_screen = _UNIT_ROUNDOFF * n * n * ((5 * _LOG2_ERROR + 16) * big_l + 8)
+    eps_exact = _UNIT_ROUNDOFF * ((2 * n_classes + 2 * _LOG2_ERROR + 9) * big_k + 5)
+    return 2.0 * (eps_screen + n * eps_exact)
+
+
 def best_split(X: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int = 1):
     """Exhaustive scan for the (feature, threshold) with maximal information
     gain; returns (gain, feature, threshold) or None when no valid split
     exists. Ties resolve to the lowest feature index, then lowest threshold.
+
+    The screen (see the module docstring and `_screen_margin`) finds every
+    cut that could rank first. `_score_cuts` scores them exactly, and the
+    first of the highest wins.
     """
     n, n_features = X.shape
-    if n < 2:
+    # Cut i sends the i+1 lowest rows left; both sides need min_leaf rows,
+    # and every cut leaves at least one.
+    min_leaf = max(min_leaf, 1)
+    first, stop = min_leaf - 1, n - min_leaf
+    if n < 2 or first >= stop:
         return None
     parent_counts = np.bincount(y, minlength=n_classes)
+    f = np.arange(n + 1, dtype=np.float64)
+    f *= np.log2(np.maximum(f, 1.0))  # f(c) = c*log2(c), f(0) = 0
+    # In the class-sorted order, class k fills one block: the row at
+    # position p there has `occurrence` rows of its class before it.
+    classes = np.repeat(np.arange(n_classes), parent_counts)
+    occurrence = np.arange(n) - (np.cumsum(parent_counts) - parent_counts)[classes]
+    size = parent_counts[classes]
+    step = (f[occurrence + 1] - f[occurrence]) - (f[size - occurrence] - f[size - occurrence - 1])
+    n_left = np.arange(first + 1, stop + 1)
+    size_terms = f[n_left] + f[n - n_left]
+    margin = _screen_margin(n, n_classes)
+    labels = y.astype(np.min_scalar_type(n_classes))  # a radix sort's keys
+
+    top = -np.inf
+    held = []  # (score, feature, cut, lo, hi) arrays of the cuts near the top
+    width = max(1, _SCREEN_BYTES // (_SCREEN_CELL_BYTES * n))
+    for start in range(0, n_features, width):
+        xt = X[:, start:start + width].T
+        order = np.argsort(xt, axis=1)
+        vals = np.take_along_axis(xt, order, axis=1)
+        # Each sorted column's rows in class-sorted order; each row's step
+        # goes back to the row's place in the sorted column.
+        pos = np.argsort(labels[order], axis=1, kind="stable")
+        del order
+        pos += np.arange(0, pos.size, n).reshape(-1, 1)
+        score = np.empty(vals.shape)
+        np.put(score, pos, step)
+        del pos
+        np.cumsum(score, axis=1, out=score)
+        cut_scores = score[:, first:stop]
+        cut_scores -= size_terms
+        lo, hi = vals[:, first:stop], vals[:, first + 1:stop + 1]
+        cut_scores[~(lo < hi)] = -np.inf
+        chunk_top = cut_scores.max()
+        if chunk_top == -np.inf:
+            continue
+        if chunk_top > top:
+            top = chunk_top
+            held = [tuple(a[cells[0] >= top - margin] for a in cells) for cells in held]
+        rows, cols = np.nonzero(cut_scores >= top - margin)
+        held.append((cut_scores[rows, cols], rows + start, cols + first,
+                     lo[rows, cols], hi[rows, cols]))
+    if not held:
+        return None
+    _, feature, cut, lo, hi = (np.concatenate(a) for a in zip(*held))
+    return _score_cuts(X, y, parent_counts, feature, cut, lo, hi)
+
+
+def _score_cuts(X, y, parent_counts, feature, cut, lo, hi):
+    """Score the given cuts as the full scan scored every cut, and return
+    the first of the highest as (gain, feature, threshold). Cut k sends the
+    cut[k]+1 rows with X[:, feature[k]] <= lo[k] left; hi[k] is the next
+    value. Cuts come sorted by feature, then by cut.
+
+    The entropy terms come from the same table and are summed over the
+    class axis as before; the children are weighted by the same expression.
+    """
+    n, n_classes = len(y), len(parent_counts)
     terms = _entropy_terms(n)
     h_parent = -float(terms[n * (n + 1) + parent_counts].sum())
     best = None
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    # Row i of the cumulative counts splits after sorted row i: i+1 rows go
-    # left, the rest right. Offsets pick each side's total in the table, so
-    # right-hand indices are (right offset + parent counts) - left counts.
-    n_left_rows = np.arange(1, n)[:, None, None]
-    left_offset = n_left_rows * (n + 1)
-    right_base = (n - n_left_rows) * (n + 1) + parent_counts
-    for start in range(0, n_features, _FEATURE_CHUNK):
-        cols = slice(start, min(start + _FEATURE_CHUNK, n_features))
-        xc = X[:, cols]
-        order = np.argsort(xc, axis=0, kind="stable")
-        vals = np.take_along_axis(xc, order, axis=0)
-        y_sorted = y[order]  # (n, chunk)
-        onehot = y_sorted[:, :, None] == np.arange(n_classes)[None, None, :]
-        left_counts = onehot.cumsum(axis=0, dtype=np.intp)[:-1]  # split after row i
+    width = max(1, _SCREEN_BYTES // (_SCREEN_CELL_BYTES * n))
+    for start in range(0, len(feature), width):
+        part = slice(start, start + width)
+        goes_left = X[:, feature[part]] <= lo[part]
+        cells = y[:, None] + n_classes * np.arange(goes_left.shape[1])
+        left_counts = np.bincount(cells[goes_left], minlength=cells.size // n * n_classes)
+        left_counts = left_counts.reshape(-1, n_classes)
+        n_left = cut[part] + 1
+        h_left = -terms[(n_left * (n + 1))[:, None] + left_counts].sum(axis=-1)
+        right_base = ((n - n_left) * (n + 1))[:, None] + parent_counts
         h_right = -terms[right_base - left_counts].sum(axis=-1)
-        left_counts += left_offset
-        h_left = -terms[left_counts].sum(axis=-1)
-        child = (n_left * h_left + n_right * h_right) / n
-        gain = h_parent - child
-        valid = (vals[:-1] < vals[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-        gain = np.where(valid, gain, -np.inf)
-        # The first best row of each column, then the first best column.
-        pos = gain.argmax(axis=0)
-        col_best = gain[pos, np.arange(gain.shape[1])]
-        j = int(col_best.argmax())
-        g = col_best[j]
-        if np.isfinite(g) and (best is None or g > best[0]):
-            thr = _split_threshold(float(vals[pos[j], j]), float(vals[pos[j] + 1, j]))
-            best = (float(g), start + j, thr)
+        n_left = n_left.astype(np.float64)
+        n_right = n - n_left
+        gain = h_parent - (n_left * h_left + n_right * h_right) / n
+        k = int(gain.argmax())
+        if best is None or gain[k] > best[0]:
+            threshold = _split_threshold(float(lo[part][k]), float(hi[part][k]))
+            best = (float(gain[k]), int(feature[part][k]), threshold)
     return best
 
 
@@ -189,7 +310,10 @@ def train_tree(
     n_classes = len(classes)
     if max_splits is None:
         max_splits = max(n_classes - 1, 1)
-    check_floors(("max_splits", max_splits, 0), ("min_leaf", min_leaf, 1))
+    # A split needs two rows, so every min_parent the check lets through
+    # has an effect.
+    check_floors(("max_splits", max_splits, 0), ("min_leaf", min_leaf, 1),
+                 ("min_parent", min_parent, 2))
     n_total = len(y)
     class_frequency = np.bincount(y, minlength=n_classes)
 

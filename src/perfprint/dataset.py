@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_seed
 from .events import EVENT_KINDS
 from .collector import RawTraceSet
 
@@ -226,6 +226,7 @@ def shuffle_by_class(d: Dataset, seed: int, needed: int, shortfall: str) -> list
     seeded with `seed`. A class with fewer than `needed` rows raises a
     DataError: "class 'x' has n measurements, " followed by `shortfall`.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     order = []
     for label, indices in d.by_class().items():

@@ -4,6 +4,9 @@ Three broad families map onto the CLI exit codes: configuration problems
 (bad flags, unknown scenarios, invalid parameters), data problems (missing
 or malformed files, impossible splits), and collector problems (missing OS
 interface, denied access, unsupported events).
+
+`check_seed` is the one check of a random seed, made where a seed is
+handed to numpy's generator.
 """
 
 
@@ -17,6 +20,13 @@ class ConfigError(PerfprintError, ValueError):
 
 class DataError(PerfprintError, ValueError):
     """Invalid or inconsistent data: parse failures, broken invariants."""
+
+
+def check_seed(seed, name: str = "seed"):
+    """A ConfigError for a negative seed, which numpy's generator refuses
+    with a bare ValueError. One comparison, no allocation."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
 
 
 class CollectorError(PerfprintError, RuntimeError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, downsample, split
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .evaluation import EvalReport, evaluate
 
 
@@ -38,6 +38,8 @@ class MitigationPolicy:
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind is PolicyKind.SAMPLING_DEGRADATION and self.factor < 2:
             raise ConfigError(f"factor must be >= 2, got {self.factor}")
+        if self.kind is PolicyKind.NOISE_INJECTION:
+            check_seed(self.seed, "policy seed")  # the noise draw's seed
 
     @classmethod
     def noise_injection(cls, sigma: float = 1.0, seed: int = 0) -> "MitigationPolicy":

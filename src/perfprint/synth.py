@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, Measurement
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .events import EVENT_NAMES
 
 
@@ -90,6 +90,7 @@ def gen_profiles(
         raise ConfigError(f"n_events must be in [1, {len(EVENT_NAMES)}], got {n_events}")
     if samples_per_event < 2:
         raise ConfigError(f"samples_per_event must be >= 2, got {samples_per_event}")
+    check_seed(seed)
     profiles = []
     for c in range(n_classes):
         rng = np.random.default_rng([seed, c])
@@ -118,6 +119,7 @@ def gen_dataset(
         raise ConfigError("no class profiles given")
     length = len(profiles[0].waveforms[0])
     n_events = len(profiles[0].waveforms)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     max_shift_samples = int(noise.max_shift * length)
 

@@ -1,7 +1,11 @@
+import tracemalloc
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from perfprint.classifiers import train_tree
+from perfprint.classifiers import tree
 from perfprint.classifiers.tree import DecisionTreeModel, best_split
 
 from helpers import build_dataset, random_dataset
@@ -135,27 +139,123 @@ def test_threshold_is_midpoint_of_consecutive_values():
     assert found[2] == pytest.approx(6.0)  # (2 + 10) / 2
 
 
-@pytest.mark.parametrize("seed", range(16))
-def test_split_scan_matches_the_reference_bit_for_bit(seed):
-    # Small integer features tie often, within and across columns; copied
-    # columns tie exactly, also across the 128-column chunks; some classes
-    # may be absent from the node.
-    rng = np.random.default_rng(600 + seed)
-    n = int(rng.integers(2, 40))
-    n_features = int(rng.choice([1, 5, 40, 300]))
-    n_classes = int(rng.integers(2, 8))
+def _near_tie_columns(seed):
+    """(X, y, n_classes): 40 columns of 0s and 1s whose one cut sends the
+    same class counts left, permuted over classes of equal size. Their
+    gains are one real number, which rounding tells apart in the last
+    bits, differently in the screen and in the exact scoring."""
+    rng = np.random.default_rng(seed)
+    n_classes = int(rng.choice([3, 4, 5, 6, 9, 12]))
+    per_class = int(rng.integers(4, 12))
+    left_sizes = rng.integers(0, per_class + 1, size=n_classes)
+    y = np.repeat(np.arange(n_classes), per_class)
     if seed % 2:
-        X = rng.integers(0, 4, size=(n, n_features)).astype(np.float64)
-    else:
-        X = rng.normal(size=(n, n_features))
-    X[:, -1] = X[:, 0]
-    y = rng.integers(0, n_classes, size=n)
-    min_leaf = int(rng.integers(1, 4))
+        y = rng.permutation(y)
+    X = np.ones((len(y), 40))
+    for j in range(X.shape[1]):
+        for k, size in enumerate(rng.permutation(left_sizes)):
+            X[np.flatnonzero(y == k)[:size], j] = 0.0
+    return X, y, n_classes
+
+
+def _split_case(case):
+    """(X, y, n_classes, min_leaf, screen bytes or None) for one case."""
+    if isinstance(case, int):
+        # Small integer features tie often, within and across columns;
+        # copied columns tie exactly; some classes may be absent.
+        rng = np.random.default_rng(600 + case)
+        n = int(rng.integers(2, 40))
+        n_features = int(rng.choice([1, 5, 40, 300]))
+        n_classes = int(rng.integers(2, 8))
+        if case % 2:
+            X = rng.integers(0, 4, size=(n, n_features)).astype(np.float64)
+        else:
+            X = rng.normal(size=(n, n_features))
+        X[:, -1] = X[:, 0]
+        y = rng.integers(0, n_classes, size=n)
+        return X, y, n_classes, int(rng.integers(1, 4)), None
+    rng = np.random.default_rng(700)
+    if case in ("30 classes, n 1200", "6 classes, n 1002"):
+        # The class-axis sum is pairwise from 8 classes up, sequential below.
+        n_classes, per_class = (30, 40) if case.startswith("30") else (6, 167)
+        y = np.repeat(np.arange(n_classes), per_class)
+        X = np.hstack([rng.normal(size=(len(y), 20)) + 0.3 * y[:, None],
+                       rng.integers(0, 6, size=(len(y), 12)).astype(np.float64)])
+        return X, y, n_classes, 1, None
+    if case == "duplicate and constant columns":
+        y = rng.integers(0, 4, size=60)
+        X = rng.integers(0, 3, size=(60, 30)).astype(np.float64)
+        X[:, 3] = 2 * (y % 2)  # the best column, and its copy at 13
+        X[:, ::7] = 2.5
+        X[:, 10:20] = X[:, :10]
+        return X, y, 4, 2, None
+    if case == "exact ties across chunks":
+        # The best column's 12 copies land in different chunks of the
+        # screen and in both batches of the exact scoring.
+        y = np.repeat(np.arange(3), 10)
+        X = rng.normal(size=(30, 40))
+        X[:, [7, *range(15, 25), 33]] = (y[:, None] > 0) + rng.normal(scale=0.1, size=(30, 1))
+        return X, y, 3, 1, 8 * 30 * tree._SCREEN_CELL_BYTES  # 8 columns a chunk
+    if case in NEAR_TIE_SEEDS:
+        return (*_near_tie_columns(NEAR_TIE_SEEDS[case]), 1, None)
+    raise AssertionError(case)
+
+
+# A screen that kept only its own best cuts would pick another column in
+# each of these.
+NEAR_TIE_SEEDS = {"near ties, 4 classes": 38, "near ties, 9 classes": 59,
+                  "exact ties, 12 classes": 13}
+
+
+SPLIT_CASES = [*range(16), "30 classes, n 1200", "6 classes, n 1002",
+               "duplicate and constant columns", "exact ties across chunks", *NEAR_TIE_SEEDS]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_scan_matches_the_reference_bit_for_bit(case, monkeypatch):
+    X, y, n_classes, min_leaf, screen_bytes = _split_case(case)
+    if screen_bytes is not None:
+        monkeypatch.setattr(tree, "_SCREEN_BYTES", screen_bytes)
     found = best_split(X, y, n_classes, min_leaf)
     expected = reference_best_split(X, y, n_classes, min_leaf)
     assert found == expected
     if found is not None:
         assert np.float64(found[0]).tobytes() == np.float64(expected[0]).tobytes()
+
+
+def test_near_tie_cases_differ_in_the_last_bits():
+    # Each column's best gain is the same real number, rounded apart.
+    for case in ("near ties, 4 classes", "near ties, 9 classes"):
+        X, y, n_classes, _, _ = _split_case(case)
+        gains = {reference_best_split(X[:, [j]], y, n_classes)[0] for j in range(X.shape[1])}
+        assert len(gains) > 1 and max(gains) - min(gains) < 1e-14
+
+
+def test_split_screen_holds_no_more_memory_than_the_reference():
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(240, 3000)), rng.integers(0, 6, size=240)
+    peaks = []
+    for scan in (best_split, reference_best_split):
+        tracemalloc.start()
+        try:
+            scan(X, y, 6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
+def test_log2_is_within_the_error_the_screen_margin_assumes():
+    # The margin takes np.log2 to be within 4 ulp; check it on the counts
+    # and count ratios the screen and the entropy table take logs of.
+    x = np.unique(np.concatenate([np.arange(1, 1201, dtype=np.float64),
+                                  (np.arange(1, 61)[:, None] / np.arange(1, 61)).ravel()]))
+    computed = np.log2(x)
+    with localcontext(prec=40):
+        ln2 = Decimal(2).ln()
+        exact = np.array([float(Decimal(v).ln() / ln2) for v in x.tolist()])
+    ulps = np.abs(computed - exact) / np.spacing(np.maximum(np.abs(exact), 1e-300))
+    assert ulps.max() <= tree._LOG2_ERROR / 2
 
 
 def test_split_scan_of_fewer_than_two_rows_finds_nothing():
@@ -172,7 +272,7 @@ def test_split_scan_picks_the_first_feature_among_equal_gains():
     y = np.array([0, 0, 1, 1])
     found = best_split(X, y, 2)
     assert found == reference_best_split(X, y, 2) == (1.0, 0, 1.5)
-    # Across chunks: the copy in column 200 loses the tie to column 3.
+    # Far apart: the copy in column 200 loses the tie to column 3.
     wide = np.zeros((4, 201))
     wide[:, 3] = wide[:, 200] = X[:, 0]
     assert best_split(wide, y, 2) == reference_best_split(wide, y, 2) == (1.0, 3, 1.5)

@@ -675,6 +675,10 @@ def test_evaluate_tree_on_data_holding_its_split_features(tmp_path):
     ("net", "--lr", "0", "learning_rate must be > 0, got 0.0"),
     ("svm", "--max-passes", "0", "max_passes must be >= 1, got 0"),
     ("tree", "--min-leaf", "-2", "min_leaf must be >= 1, got -2"),
+    # A split needs two rows, so min_parent's floor is 2.
+    ("tree", "--min-parent", "-5", "min_parent must be >= 2, got -5"),
+    ("tree", "--min-parent", "0", "min_parent must be >= 2, got 0"),
+    ("tree", "--min-parent", "1", "min_parent must be >= 2, got 1"),
 ])
 def test_a_model_flag_outside_its_range_exits_two(tmp_path, capsys, kind, flag, value, message):
     full, out = tmp_path / "full.csv", tmp_path / "m.json"
@@ -683,6 +687,34 @@ def test_a_model_flag_outside_its_range_exits_two(tmp_path, capsys, kind, flag, 
     assert run("train", "--data", full, "--kind", kind, flag, value, "--out", out) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# Each command's seed flag, given -1: numpy's generator would raise a bare
+# ValueError, so the one seed check refuses it first.
+@pytest.mark.parametrize("argv, name", [
+    (["synth", "--classes", 2, "--per-class", 4, "--events", 2, "--samples-per-event", 8,
+      "--seed", -1], "seed"),
+    (["prep", "--data", "{full}", "--split-train", 2, "--split-test", 1, "--split-seed", -1,
+      "--train-out", "{out}", "--test-out", "{out}.test"], "seed"),
+    (["train", "--data", "{full}", "--kind", "net", "--train-seed", -1], "seed"),
+    (["crossval", "--data", "{full}", "--kind", "knn", "--folds", 2, "--seed", -1], "seed"),
+    (["curve", "--data", "{full}", "--kind", "knn", "--sizes", "2", "--n-test", 1,
+      "--seed", -1], "seed"),
+    (["mitigate", "--data", "{full}", "--kind", "knn", "--policy", "deny", "--n-train", 2,
+      "--n-test", 1, "--split-seed", -1], "seed"),
+    (["mitigate", "--data", "{full}", "--kind", "knn", "--policy", "noise", "--n-train", 2,
+      "--n-test", 1, "--policy-seed", -1], "policy seed"),
+], ids=["synth", "prep", "train", "crossval", "curve", "mitigate-split", "mitigate-policy"])
+def test_a_negative_seed_exits_two(tmp_path, capsys, argv, name):
+    full, out = tmp_path / "full.csv", tmp_path / "out"
+    assert run(*synth_args(full, classes=2, per_class=4, samples=8)) == 0
+    capsys.readouterr()
+    argv = [str(a).format(full=full, out=out) for a in argv]
+    if "--out" not in argv and "--train-out" not in argv:
+        argv += ["--out", str(out)]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["full.csv"]
 
 
 # For each command that trains: a flag of another kind, and the kind it
