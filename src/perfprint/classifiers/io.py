@@ -30,7 +30,7 @@ import os
 
 import numpy as np
 
-from ..dataset import _write_atomic
+from ..dataset import _write_atomic, refuse_constant
 from ..errors import DataError
 from .knn import KnnModel
 from .net import AutoencoderNetModel
@@ -107,7 +107,7 @@ def load_model(path: str):
         line = fh.readline()
         data_size = os.fstat(fh.fileno()).st_size - len(line)
         try:
-            doc = json.loads(line)
+            doc = json.loads(line, parse_constant=refuse_constant)
         except (RecursionError, ValueError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise DataError(f"{path}: malformed model file: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != FILE_FORMAT:

@@ -21,7 +21,7 @@ DEFAULT_MEMORY_BUDGET_MB = 2048.0
 _MIN_LEARNING_RATE = 1e-15
 _LAYERS = ("w1", "b1", "w2", "b2", "ws", "bs")  # payload names, in file order
 _STAGES = ("autoencoder1", "autoencoder2", "softmax", "finetune")  # in training order
-_STOP_REASONS = ("budget", "rate underflow")
+_STAGE_CAPS = ("max_iterations", "max_iterations", "softmax_iterations", "finetune_iterations")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -249,10 +249,8 @@ class AutoencoderNetModel(Model):
         super().__init__(classes, seed=seed, hyperparams=hyperparams)
         # weights: dict with w1, b1, w2, b2, ws, bs
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
-        # Per training stage: its losses, and why it stopped, one of
-        # _STOP_REASONS. Both are empty for a net that was not trained.
+        # Per training stage, its losses; empty for a net that was not trained.
         self.loss_history: dict[str, list[float]] = {}
-        self.stop_reasons: dict[str, str] = {}
 
     @property
     def n_features(self) -> int:
@@ -278,19 +276,24 @@ class AutoencoderNetModel(Model):
             raise DataError(f"net layer shapes do not chain into {n_classes} classes: {shapes}")
         return cls(classes, weights=weights, hyperparams=hyperparams, seed=seed)
 
+    @property
+    def stop_reasons(self) -> dict[str, str]:
+        """Why each stage stopped: `descend` runs out its budget with a
+        history of cap + 1 losses, or stops short when the rate underflows."""
+        return {stage: "budget" if len(history) > self.hyperparams[cap] else "rate underflow"
+                for (stage, history), cap in zip(self.loss_history.items(), _STAGE_CAPS)}
+
     def diagnostics(self) -> dict:
         return {"loss_history": self.loss_history, "stop_reasons": self.stop_reasons}
 
     def restore_diagnostics(self, diagnostics: dict):
         history, stopped = diagnostics["loss_history"], diagnostics["stop_reasons"]
-        if not (isinstance(history, dict) and isinstance(stopped, dict)
-                and list(history) == list(stopped) in ([], list(_STAGES))
-                and all(reason in _STOP_REASONS for reason in stopped.values())):
-            raise DataError(f"net diagnostics need a loss history and a stop reason "
-                            f"({' or '.join(_STOP_REASONS)}) for all of {', '.join(_STAGES)} "
-                            "or for none")
+        if not (isinstance(history, dict) and list(history) in ([], list(_STAGES))):
+            raise DataError(f"net loss histories must cover all of {', '.join(_STAGES)} or none")
         self.loss_history = {stage: _floats(losses) for stage, losses in history.items()}
-        self.stop_reasons = dict(stopped)
+        if stopped != self.stop_reasons:
+            raise DataError(f"net stop reasons {stopped} do not follow from the loss histories "
+                            f"and iteration caps, which give {self.stop_reasons}")
 
     def probabilities(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -416,11 +419,4 @@ def train_net(
         seed=seed,
     )
     model.loss_history = dict(zip(_STAGES, (hist1, hist2, hist3, hist4)))
-    # `descend` runs out its budget with a history of cap + 1 losses, or
-    # stops short when the rate underflows.
-    caps = (max_iterations, max_iterations, softmax_iterations, finetune_iterations)
-    model.stop_reasons = {
-        stage: "budget" if len(history) > cap else "rate underflow"
-        for (stage, history), cap in zip(model.loss_history.items(), caps)
-    }
     return model

@@ -319,11 +319,9 @@ def train_tree(
 
     nodes: list[dict] = [{"counts": class_frequency.tolist()}]
     members_of = {0: np.arange(n_total)}  # the training rows of each unsplit leaf
-    heap: list = []
-    counter = 0
+    heap: list = []  # equal weighted gains pop in node order, and node indices are unique
 
     def consider(node_idx: int):
-        nonlocal counter
         members = members_of[node_idx]
         if len(members) < min_parent or np.count_nonzero(nodes[node_idx]["counts"]) <= 1:
             return
@@ -332,14 +330,12 @@ def train_tree(
             return
         gain, feature, threshold = found
         weighted = gain * len(members) / n_total
-        heapq.heappush(heap, (-weighted, counter, node_idx, feature, threshold, gain))
-        counter += 1
+        heapq.heappush(heap, (-weighted, node_idx, feature, threshold, gain))
 
     consider(0)
-    splits_done = 0
     gains = {}
-    while heap and splits_done < max_splits:
-        _, _, node_idx, feature, threshold, gains[node_idx] = heapq.heappop(heap)
+    while heap and len(gains) < max_splits:
+        _, node_idx, feature, threshold, gains[node_idx] = heapq.heappop(heap)
         members = members_of.pop(node_idx)
         go_left = X[members, feature] <= threshold
         left_idx, right_idx = len(nodes), len(nodes) + 1
@@ -352,7 +348,6 @@ def train_tree(
             "left": left_idx,
             "right": right_idx,
         }
-        splits_done += 1
         consider(left_idx)
         consider(right_idx)
 

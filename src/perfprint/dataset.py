@@ -7,6 +7,7 @@ operation returns a new value.
 File format: one self-describing JSON header line, then one CSV row per
 measurement (`label,feature_0,...`), floats at 9 significant digits. Every
 feature is finite: `nan` and infinities are refused on write and on load.
+The header is strict JSON, so a non-finite value in it is refused too.
 The header alone records a trace file's layout (`scenario`, `events`,
 `samples_per_event`); a row's meta holds facts about that row only, such
 as `captured_at` or `visit`.
@@ -296,11 +297,22 @@ def _header_line(d: Dataset) -> str:
         "row_meta": row_meta if any(row_meta) else None,
     }
     if d.normalization is not None:
+        if d.normalization.feature_min.shape != (d.feature_length,):  # `load` would refuse it
+            raise DataError(f"a normalization over {d.normalization.feature_min.shape} on "
+                            f"{d.feature_length}-feature rows")
         header["normalization"] = {
             "min": d.normalization.feature_min.tolist(),
             "max": d.normalization.feature_max.tolist(),
         }
-    return json.dumps(header, separators=(",", ":")) + "\n"
+    return _header_json(header) + "\n"
+
+
+def _header_json(value) -> str:
+    """`value` as compact strict JSON; a DataError if it holds a non-finite float."""
+    try:
+        return json.dumps(value, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"a dataset header cannot hold a non-finite value: {exc}") from None
 
 
 def _check_row(m: Measurement):
@@ -345,6 +357,11 @@ def _write_atomic(path: str, chunks):
         raise
 
 
+def refuse_constant(name: str):
+    """`json.loads`'s `parse_constant`: JSON has no `NaN`, `Infinity` or `-Infinity`."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def write_json(path: str, doc):
     """Write `doc` atomically as compact JSON and a newline. The encoded
     chunks are streamed, as `json.dump` does, rather than joined first. A
@@ -380,14 +397,14 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
     if not lines:
         raise DataError(f"{path}: empty dataset file")
     try:
-        header = json.loads(lines[0])
-    except (json.JSONDecodeError, RecursionError) as exc:
+        header = json.loads(lines[0], parse_constant=refuse_constant)
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: line 1: malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: line 1: header is not a JSON object")
     if header.get("format") != FILE_FORMAT:
         raise DataError(f"{path}: not a {FILE_FORMAT} file")
-    if header.get("version") != FILE_VERSION:
+    if type(header.get("version")) is not int or header["version"] != FILE_VERSION:
         raise DataError(f"{path}: unsupported version {header.get('version')!r}")
 
     for key, kind, item in (("events", list, str), ("classes", list, str), ("row_meta", list, dict),
@@ -427,6 +444,9 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
+        if not all(b.shape == (length,) and np.isfinite(b).all()
+                   for b in (normalization.feature_min, normalization.feature_max)):
+            raise DataError(f"{path}: line 1: normalization min/max need {length} finite numbers")
     meta = dict(header.get("meta") or {})
     for key in _HEADER_META_KEYS:
         if header.get(key) is not None:
@@ -545,7 +565,7 @@ def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = No
     # adds a key the file lacks and returns the file's value of the others.
     conflicts = [
         f"{key} is {meta[key]!r} in the file, {value!r} in the append"
-        for key, value in json.loads(json.dumps(dataset_meta or {})).items()
+        for key, value in json.loads(_header_json(dataset_meta or {})).items()
         if meta.setdefault(key, value) != value
     ]
     if conflicts:

@@ -1,10 +1,11 @@
 """Success metrics: overall and per-class rates, top-k guess curves,
 confusion matrices, learning curves, and cross-validated scores.
 
-Every report is checked against its arithmetic identities at construction
-time: the success rate equals the confusion trace over the total and the
-first top-k point, the curve is non-decreasing, and the per-class rates
-weighted by test counts average back to the success rate.
+A report holds what was measured, each test row's ranked guesses and its
+true class, and derives its rates from them: the confusion matrix counts
+first guesses, the g-guess success rate counts the rows whose class is
+among their first g guesses, and the success rate is the curve's first
+point.
 """
 
 from __future__ import annotations
@@ -21,30 +22,32 @@ from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class EvalReport:
-    success_rate: float
-    per_class: dict[str, float]
-    topk_curve: list[float]  # index g-1 holds the g-guess success rate
-    confusion: np.ndarray  # rows = true class, cols = predicted
+    rankings: np.ndarray  # each test row's first g_max class indices, best first
+    truth: np.ndarray  # each test row's class index
     classes: list[str]
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        total = int(self.confusion.sum())
-        correct = int(np.trace(self.confusion))
-        if total == 0:
-            raise DataError("empty confusion matrix")
-        if abs(self.success_rate - correct / total) > 1e-12:
-            raise DataError("success rate does not match confusion trace")
-        if abs(self.topk_curve[0] - self.success_rate) > 1e-12:
-            raise DataError("top-1 rate does not match success rate")
-        if any(b < a - 1e-12 for a, b in zip(self.topk_curve, self.topk_curve[1:])):
-            raise DataError("top-k curve is not non-decreasing")
-        weighted = sum(
-            self.per_class[c] * self.confusion[i].sum()
-            for i, c in enumerate(self.classes)
-        )
-        if abs(weighted / total - self.success_rate) > 1e-12:
-            raise DataError("per-class rates do not average to the success rate")
+    @property
+    def confusion(self) -> np.ndarray:  # rows = true class, cols = first guess
+        n = len(self.classes)
+        return np.bincount(self.truth * n + self.rankings[:, 0], minlength=n * n).reshape(n, n)
+
+    @property
+    def topk_curve(self) -> list[float]:  # index g-1 holds the g-guess success rate
+        # A ranking holds each class once, so column g sums the hits at guess g+1.
+        hits_at = (self.rankings == self.truth[:, None]).sum(axis=0)
+        return (np.cumsum(hits_at) / len(self.truth)).tolist()
+
+    @property
+    def success_rate(self) -> float:
+        return self.topk_curve[0]
+
+    @property
+    def per_class(self) -> dict[str, float]:
+        confusion = self.confusion
+        totals = confusion.sum(axis=1)
+        return {c: confusion[i, i] / totals[i] if totals[i] else 0.0
+                for i, c in enumerate(self.classes)}
 
 
 def evaluate(model, test: Dataset, g_max: int | None = None) -> EvalReport:
@@ -60,29 +63,11 @@ def evaluate(model, test: Dataset, g_max: int | None = None) -> EvalReport:
         g_max = n_classes
     if not 1 <= g_max <= n_classes:
         raise ConfigError(f"g_max must be in [1, {n_classes}], got {g_max}")
-
-    rankings = model.rank_classes_many(test.feature_matrix())[:, :g_max]
-    truth = test.label_indices(model.classes)
-
-    n_test = len(test)
-    confusion = np.bincount(
-        truth * n_classes + rankings[:, 0], minlength=n_classes * n_classes
-    ).reshape(n_classes, n_classes)
-    # A ranking holds each class once, so column g sums the hits at guess g+1.
-    hits_at = (rankings == truth[:, None]).sum(axis=0)
-    topk_curve = (np.cumsum(hits_at) / n_test).tolist()
-    row_totals = confusion.sum(axis=1)
-    per_class = {
-        c: (confusion[i, i] / row_totals[i] if row_totals[i] else 0.0)
-        for i, c in enumerate(model.classes)
-    }
     return EvalReport(
-        success_rate=float(np.trace(confusion) / n_test),
-        per_class=per_class,
-        topk_curve=topk_curve,
-        confusion=confusion,
+        rankings=model.rank_classes_many(test.feature_matrix())[:, :g_max],
+        truth=test.label_indices(model.classes),
         classes=list(model.classes),
-        meta={"model_kind": model.kind, "g_max": g_max, "n_test": n_test},
+        meta={"model_kind": model.kind, "g_max": g_max, "n_test": len(test)},
     )
 
 
@@ -105,7 +90,7 @@ def learning_curve(
     test = d.subset(sorted(i for rows in order for i in rows[:n_test_per_class]))
 
     curve: dict[int, float] = {}
-    for size in sorted(train_sizes):
+    for size in sorted(set(train_sizes)):
         train = sorted(i for rows in order for i in rows[n_test_per_class:n_test_per_class + size])
         model = trainer(d.subset(train))
         curve[size] = evaluate(model, test).success_rate
@@ -114,19 +99,20 @@ def learning_curve(
 
 @dataclass(frozen=True)
 class CrossValResult:
-    mean_success_rate: float
-    fold_rates: list[float]
     reports: list[EvalReport]
+
+    @property
+    def fold_rates(self) -> list[float]:
+        return [r.success_rate for r in self.reports]
+
+    @property
+    def mean_success_rate(self) -> float:
+        return float(np.mean(self.fold_rates))
 
 
 def cross_validate(trainer, d: Dataset, k: int, seed: int) -> CrossValResult:
     """Stratified k-fold cross-validation; the mean of per-fold rates."""
-    folds = kfold(d, k, seed)
-    reports = [evaluate(trainer(train), validation) for train, validation in folds]
-    rates = [r.success_rate for r in reports]
-    return CrossValResult(
-        mean_success_rate=float(np.mean(rates)), fold_rates=rates, reports=reports
-    )
+    return CrossValResult([evaluate(trainer(train), test) for train, test in kfold(d, k, seed)])
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -134,7 +120,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "format": "perfprint-report",
         "version": 1,
         "success_rate": report.success_rate,
-        "per_class": {c: report.per_class[c] for c in report.classes},
+        "per_class": report.per_class,
         "topk_curve": report.topk_curve,
         "confusion": report.confusion.tolist(),
         "classes": report.classes,
@@ -154,7 +140,7 @@ def _write_csv(path: str, rows):
 
 
 def write_per_class_csv(report: EvalReport, path: str):
-    rows = [[c, format(report.per_class[c], ".9g")] for c in report.classes]
+    rows = [[c, format(rate, ".9g")] for c, rate in report.per_class.items()]
     _write_csv(path, [["label", "success_rate"], *rows])
 
 

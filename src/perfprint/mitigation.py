@@ -86,8 +86,11 @@ def apply(policy: MitigationPolicy, d: Dataset, rms_reference: Dataset | None = 
 class LeakageReport:
     before: EvalReport
     after: EvalReport
-    accuracy_delta: float  # before minus after, in success-rate points
     seeds: dict
+
+    @property
+    def accuracy_delta(self) -> float:  # before minus after, in success-rate points
+        return self.before.success_rate - self.after.success_rate
 
 
 def leakage_report(
@@ -112,7 +115,6 @@ def leakage_report(
     return LeakageReport(
         before=before,
         after=after,
-        accuracy_delta=before.success_rate - after.success_rate,
         seeds={
             "split_seed": split_seed,
             "policy_seed_train": policy.seed,

@@ -415,8 +415,13 @@ def reference_vote_scores(pairs, decisions, n_classes):
 
 # -- reference copy of the per-line dataset parser ---------------------------
 # `dataset._parse` as it was when it parsed one row at a time, copied
-# verbatim. The one intended difference: it loads a file whose header
-# row_meta has more entries than the file has rows, which the package refuses.
+# verbatim but for three named intended differences, which the package
+# shares: (a) the header is strict JSON, so `NaN`, `Infinity` and
+# `-Infinity` are refused; (b) its version must be the int 1, not `true` or
+# `1.0`; (c) its normalization must hold `feature_length` finite numbers in
+# min and in max, checked after the rows. One difference is left to the
+# test: this loads a file whose header row_meta has more entries than the
+# file has rows, which the package refuses.
 
 
 def reference_parse(path):
@@ -431,15 +436,19 @@ def reference_parse(path):
         lines = fh.read().splitlines()
     if not lines:
         raise DataError(f"{path}: empty dataset file")
+
+    def refuse_constant(name):  # intended difference (a)
+        raise ValueError(f"{name} is not a JSON value")
+
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(lines[0], parse_constant=refuse_constant)
+    except ValueError as exc:
         raise DataError(f"{path}: line 1: malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: line 1: header is not a JSON object")
     if header.get("format") != FILE_FORMAT:
         raise DataError(f"{path}: not a {FILE_FORMAT} file")
-    if header.get("version") != FILE_VERSION:
+    if type(header.get("version")) is not int or header.get("version") != FILE_VERSION:  # (b)
         raise DataError(f"{path}: unsupported version {header.get('version')!r}")
 
     for key, kind, item in (("events", list, str), ("classes", list, str), ("row_meta", list, dict),
@@ -498,6 +507,10 @@ def reference_parse(path):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
+        for bound in (normalization.feature_min, normalization.feature_max):  # (c)
+            if bound.shape != (length,) or not np.isfinite(bound).all():
+                raise DataError(
+                    f"{path}: line 1: normalization min/max need {length} finite numbers")
     meta = dict(header.get("meta") or {})
     for key in ("scenario", "events", "samples_per_event"):
         if header.get(key) is not None:

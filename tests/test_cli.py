@@ -195,14 +195,27 @@ def test_missing_data_file_exits_three(tmp_path):
     {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "meta": [["k", "v"]]},
     {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "classes": ["a"],
      "row_meta": [{"visit": 0}, {"visit": 1}, {"visit": 2}]},
+    # json.dumps writes a non-finite float as NaN, Infinity or -Infinity.
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "meta": {"x": math.nan}},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1, "meta": {"x": [math.inf]}},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1,
+     "normalization": {"min": [-math.inf], "max": [1]}},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1,
+     "normalization": {"min": [], "max": []}},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1,
+     "normalization": {"min": [0, 0], "max": [1, 1]}},
+    {"format": "perfprint-dataset", "version": 1, "feature_length": 1,
+     "normalization": {"min": [[0]], "max": [[1]]}},
 ], ids=["short-row-meta", "list-header", "normalization-without-max", "int-events",
-        "int-classes", "list-meta", "surplus-row-meta"])
+        "int-classes", "list-meta", "surplus-row-meta", "nan-meta", "infinity-meta",
+        "infinity-normalization", "short-normalization", "long-normalization",
+        "nested-normalization"])
 def test_prep_on_malformed_header_exits_three(tmp_path, capsys, header):
     data = tmp_path / "bad.csv"
     data.write_text(json.dumps(header) + "\na,1.0\na,2.0\n")
     assert run("prep", "--data", data, "--out", tmp_path / "out.csv") == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {data}: line ")
+    assert err.startswith(f"error: {data}: line ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
 
@@ -217,6 +230,28 @@ def test_prep_on_non_finite_features_exits_three(tmp_path, capsys, value):
     assert err.startswith(f"error: {data}: line 3 ") and "non-finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("fields,message", [
+    ('"version":true', "unsupported version True"),
+    ('"version":1.0', "unsupported version 1.0"),
+    ('"version":1,"normalization":{"min":[0],"max":[1e999]}',  # 1e999 reads as inf
+     "line 1: normalization min/max need 1 finite numbers"),
+], ids=["version-true", "version-float", "overflowing-normalization"])
+def test_prep_on_a_header_value_of_the_wrong_kind_exits_three(tmp_path, capsys, fields, message):
+    data = tmp_path / "bad.csv"
+    data.write_text('{"format":"perfprint-dataset",%s,"feature_length":1}\na,1\n' % fields)
+    assert run("prep", "--data", data, "--out", tmp_path / "out.csv") == 3
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_row_error_comes_before_a_normalization_error(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text('{"format":"perfprint-dataset","version":1,"feature_length":3,'
+                    '"normalization":{"min":[0],"max":[1]}}\na,1,2,3\nb,4,x,6\n')
+    assert run("prep", "--data", data, "--out", tmp_path / "out.csv") == 3
+    assert capsys.readouterr().err.startswith(f"error: {data}: line 3: non-numeric feature")
 
 
 def test_prep_split_normalize_downsample(tmp_path):
@@ -505,6 +540,19 @@ def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"error: {model}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_evaluate_on_a_model_envelope_holding_a_non_finite_value_exits_three(tmp_path, capsys, value):
+    model, test = _train_cli_model(tmp_path, "svm")
+    doc = _read_model(model)
+    doc["hyperparams"]["c"] = value  # json.dumps writes NaN, Infinity or -Infinity
+    _write_model(model, doc)
+    capsys.readouterr()
+    assert run("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: malformed model file: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "r").exists()
 
 
 def _tree_leaf_counts_of_other_types(doc):

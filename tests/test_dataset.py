@@ -429,6 +429,34 @@ def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
+def test_save_refuses_a_normalization_that_does_not_fit_the_rows(tmp_path):
+    path = tmp_path / "d.csv"
+    d = dataset.normalize_fit(build_dataset([[1.0, 2.0], [3.0, 5.0]], ["a", "b"]))
+    for bad in (d.subset([]), d.with_features(np.zeros((2, 1)), normalization=d.normalization)):
+        with pytest.raises(DataError, match="normalization"):
+            dataset.save(bad, str(path))
+    assert not path.exists()
+    dataset.save(d, str(path))
+    np.testing.assert_array_equal(dataset.load(str(path)).normalization.feature_max, [3.0, 5.0])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_dataset_meta_value_is_refused_and_nothing_is_written(tmp_path, value):
+    path = tmp_path / "d.csv"
+    d = build_dataset([[1.0], [2.0]], ["a", "b"])
+    with pytest.raises(DataError, match="non-finite"):
+        dataset.save(Dataset(measurements=d.measurements, meta={"x": value}), str(path))
+    with pytest.raises(DataError, match="non-finite"):
+        dataset.append_measurement(str(path), d.measurements[0], dataset_meta={"x": value})
+    assert not path.exists()
+    dataset.save(d, str(path))
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="non-finite"):
+        dataset.append_measurement(str(path), d.measurements[0], dataset_meta={"x": [value]})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
 def test_save_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path):
     path = tmp_path / "d.csv"
     dataset.save(build_dataset([[1.0]], ["a"]), str(path))

@@ -143,6 +143,20 @@ def test_learning_curve_monotone_trend_on_separable_data():
     assert curve[40] >= curve[5] - 0.05
 
 
+def test_learning_curve_trains_each_distinct_size_once():
+    rng = np.random.default_rng(36)
+    d = random_dataset(rng, 3, 12, 4)
+    trained = []
+
+    def trainer(train):
+        trained.append(len(train))
+        return train_knn(train)
+
+    curve = learning_curve(trainer, d, [2, 2, 4], 3, seed=6)
+    assert trained == [6, 12]
+    assert curve == learning_curve(make_trainer("knn"), d, [2, 4], 3, seed=6)
+
+
 def test_learning_curve_rejects_infeasible_sizes():
     rng = np.random.default_rng(35)
     d = random_dataset(rng, 3, 20, 4)

@@ -212,6 +212,19 @@ def test_each_net_stage_records_why_it_stopped(toy, tmp_path, monkeypatch):
     assert load_model(str(tmp_path / "m.json")).stop_reasons == model.stop_reasons
 
 
+def test_a_net_file_whose_stop_reason_disagrees_with_its_history_fails_to_load(toy, tmp_path):
+    model = make_trainer("net", seed=2, max_iterations=3, hidden1=12, hidden2=6)(toy[0])
+    assert model.stop_reasons["softmax"] == "budget"
+    path = tmp_path / "m.json"
+    save_model(model, str(path))
+    line, newline, data = path.read_bytes().partition(b"\n")
+    doc = json.loads(line)
+    doc["diagnostics"]["stop_reasons"]["softmax"] = "rate underflow"
+    path.write_bytes(json.dumps(doc, separators=(",", ":")).encode() + newline + data)
+    with pytest.raises(DataError, match="stop reasons .* do not follow from the loss histories"):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize("kind,params", KINDS_AND_PARAMS)
 def test_a_version_1_file_loads_and_ranks_as_version_2(toy, tmp_path, kind, params):
     d, queries = toy
