@@ -363,7 +363,7 @@ def train_net(
     n, d = X.shape
 
     needed = estimate_memory_mb(n, d, h1, h2, n_classes)
-    if needed > memory_budget_mb:
+    if not needed <= memory_budget_mb:  # a nan budget is refused too
         raise ConfigError(
             f"network needs ~{needed:.0f} MB, budget is {memory_budget_mb:.0f} MB; "
             "downsample the input data to shrink the feature vectors"

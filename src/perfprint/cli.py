@@ -99,41 +99,87 @@ _POLICY_FLAGS = {
 }
 
 
-def _owned_by(selector: str, flags_of: dict) -> dict:
-    return {flag: (selector, mode) for mode, flags in flags_of.items() for flag, *_ in flags}
+def _mode_rows(selector: str, flags_of: dict) -> list:
+    """The rows of `flags_of`'s flags, each read by its own mode of `selector`."""
+    return [(flag, dict(type=type_, help=help_), (selector, mode))
+            for mode, flags in flags_of.items() for flag, _, type_, help_ in flags]
 
 
-# Which mode of its command reads each optional flag: (selector, mode), or
-# None for a flag that every mode reads. Every optional flag is listed, and
-# one given outside its mode is refused before the command reads anything.
-# The selectors: --kind, --policy, whether prep's --split-train is non-zero,
-# and where collect's target comes from once its scope is resolved.
-_FLAG_MODES = {
-    "collect": {
-        "--cpu": None,
-        "--pid": ("target", "pid"),
-        "--await": ("target", "await"),
-        "--await-timeout": ("target", "await"),
-    },
-    "synth": dict.fromkeys(("--events", "--samples-per-event", "--noise-sigma", "--noise-shift",
-                            "--noise-jitter", "--noise-floor", "--seed")),
-    "prep": {
-        "--downsample": None,
-        "--normalize": None,
-        "--split-train": None,
-        **dict.fromkeys(("--split-test", "--split-seed", "--train-out", "--test-out"),
-                        ("split", True)),
-        "--out": ("split", False),
-    },
-    "train": _owned_by("kind", _MODEL_FLAGS),
-    "evaluate": {"--topk": None},
-    "crossval": {"--folds": None, "--seed": None, **_owned_by("kind", _MODEL_FLAGS)},
-    "curve": {"--seed": None, **_owned_by("kind", _MODEL_FLAGS)},
-    "mitigate": {
-        "--split-seed": None,
-        **_owned_by("policy", _POLICY_FLAGS),
-        **_owned_by("kind", _MODEL_FLAGS),
-    },
+_KIND_ROWS = [("--kind", dict(required=True, choices=classifiers.MODEL_KINDS), None),
+              *_mode_rows("kind", _MODEL_FLAGS)]
+_REQUIRED = dict(required=True)
+
+# Each command's help and its arguments, in help order: (flag, argparse
+# keywords, mode). The mode is None for an argument that every mode of the
+# command reads, or (selector, mode) for a flag that only that mode reads:
+# such a flag stays off the namespace when it is not given, and one given
+# outside its mode is refused before the command reads anything. The
+# selectors: --kind, --policy, whether prep's --split-train is non-zero, and
+# where collect's target comes from once its scope is resolved.
+_COMMANDS = {
+    "collect": ("record one labeled measurement", [
+        ("--scenario", dict(required=True, help="preset name or JSON config file"), None),
+        ("--label", _REQUIRED, None),
+        ("--out", dict(required=True, help="trace file to append to"), None),
+        ("--await", dict(help="wait for a new process matching this name"), ("target", "await")),
+        ("--await-timeout", dict(type=float), ("target", "await")),
+        ("--pid", dict(type=int), ("target", "pid")),
+        ("--cpu", dict(type=int), None),
+    ]),
+    "synth": ("generate a synthetic labeled dataset", [
+        ("--classes", dict(type=int, required=True), None),
+        ("--per-class", dict(type=int, required=True), None),
+        ("--events", dict(type=int, default=3), None),
+        ("--samples-per-event", dict(type=int, default=10000), None),
+        *((flag, dict(type=float, default=0.0), None)
+          for flag in ("--noise-sigma", "--noise-shift", "--noise-jitter", "--noise-floor")),
+        ("--seed", dict(type=int, default=0), None),
+        ("--out", _REQUIRED, None),
+    ]),
+    "prep": ("downsample / normalize / split a dataset", [
+        ("--data", _REQUIRED, None),
+        ("--downsample", dict(type=int, default=1), None),
+        ("--normalize", dict(action="store_true"), None),
+        ("--split-train", dict(type=int, default=0, help="train measurements per class"), None),
+        ("--split-test", dict(type=int), ("split", True)),
+        ("--split-seed", dict(type=int), ("split", True)),
+        ("--train-out", {}, ("split", True)),
+        ("--test-out", {}, ("split", True)),
+        ("--out", {}, ("split", False)),
+    ]),
+    "train": ("train a classifier on a dataset file",
+              [("--data", _REQUIRED, None), ("--out", _REQUIRED, None), *_KIND_ROWS]),
+    "evaluate": ("score a model on a test dataset", [
+        ("--data", _REQUIRED, None),
+        ("--model", _REQUIRED, None),
+        ("--topk", dict(type=int), None),
+        ("--out-dir", _REQUIRED, None),
+    ]),
+    "crossval": ("stratified k-fold cross-validation", [
+        ("--data", _REQUIRED, None),
+        ("--folds", dict(type=int, default=10), None),
+        ("--seed", dict(type=int, default=0), None),
+        ("--out", _REQUIRED, None),
+        *_KIND_ROWS,
+    ]),
+    "curve": ("success rate vs training-set size", [
+        ("--data", _REQUIRED, None),
+        ("--sizes", dict(required=True, help="comma-separated per-class sizes"), None),
+        ("--n-test", dict(type=int, required=True), None),
+        ("--seed", dict(type=int, default=0), None),
+        ("--out", _REQUIRED, None),
+        *_KIND_ROWS,
+    ]),
+    "mitigate": ("before/after leakage comparison", [
+        ("--data", _REQUIRED, None),
+        ("--policy", dict(required=True, choices=tuple(_POLICIES)), None),
+        *_mode_rows("policy", _POLICY_FLAGS),
+        ("--n-train", dict(type=int, required=True), None),
+        ("--n-test", dict(type=int, required=True), None),
+        ("--split-seed", dict(type=int, default=0), None),
+        ("--out", _REQUIRED, None),
+        *_KIND_ROWS,
+    ]),
 }
 
 # How a refusal names each selector's modes.
@@ -153,7 +199,7 @@ def _dest(flag: str) -> str:
 def _refuse_unread_flags(args, **modes):
     """A ConfigError for the first flag given outside the mode that reads
     it; `modes` holds the mode each of the command's selectors chose."""
-    for flag, owner in _FLAG_MODES[args.command].items():
+    for flag, _, owner in _COMMANDS[args.command][1]:
         if owner is not None and hasattr(args, _dest(flag)):
             selector, mode = owner
             if modes[selector] != mode:
@@ -180,19 +226,6 @@ def _hyperparams(args) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
     return values
-
-
-def _add_mode_flags(parser, flags_of: dict):
-    # Flags left out stay off the namespace, so `_refuse_unread_flags` sees
-    # which were given.
-    for flags in flags_of.values():
-        for flag, _, type_, help_ in flags:
-            parser.add_argument(flag, type=type_, default=argparse.SUPPRESS, help=help_)
-
-
-def _add_model_flags(parser):
-    parser.add_argument("--kind", required=True, choices=classifiers.MODEL_KINDS)
-    _add_mode_flags(parser, _MODEL_FLAGS)
 
 
 def cmd_collect(args) -> int:
@@ -394,92 +427,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hardware-performance-event trace collection and fingerprinting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("collect", help="record one labeled measurement")
-    p.add_argument("--scenario", required=True, help="preset name or JSON config file")
-    p.add_argument("--label", required=True)
-    p.add_argument("--out", required=True, help="trace file to append to")
-    p.add_argument("--await", default=argparse.SUPPRESS,
-                   help="wait for a new process matching this name")
-    p.add_argument("--await-timeout", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--pid", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--cpu", type=int, default=None)
-    p.set_defaults(func=cmd_collect)
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--events", type=int, default=3)
-    p.add_argument("--samples-per-event", type=int, default=10000)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--noise-shift", type=float, default=0.0)
-    p.add_argument("--noise-jitter", type=float, default=0.0)
-    p.add_argument("--noise-floor", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("prep", help="downsample / normalize / split a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--downsample", type=int, default=1)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--split-train", type=int, default=0, help="train measurements per class")
-    p.add_argument("--split-test", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--split-seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--train-out", default=argparse.SUPPRESS)
-    p.add_argument("--test-out", default=argparse.SUPPRESS)
-    p.add_argument("--out", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_prep)
-
-    p = sub.add_parser("train", help="train a classifier on a dataset file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a model on a test dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--topk", type=int, default=None)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("crossval", help="stratified k-fold cross-validation")
-    p.add_argument("--data", required=True)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_crossval)
-
-    p = sub.add_parser("curve", help="success rate vs training-set size")
-    p.add_argument("--data", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated per-class sizes")
-    p.add_argument("--n-test", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("mitigate", help="before/after leakage comparison")
-    p.add_argument("--data", required=True)
-    p.add_argument("--policy", required=True, choices=tuple(_POLICIES))
-    _add_mode_flags(p, _POLICY_FLAGS)
-    p.add_argument("--n-train", type=int, required=True)
-    p.add_argument("--n-test", type=int, required=True)
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_mitigate)
-
+    for command, (help_, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for flag, keywords, mode in rows:
+            if mode is not None:
+                keywords = {**keywords, "default": argparse.SUPPRESS}
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up by name on each call, so a wrapper bound over a
+        # cmd_<command> (a span tracer's) is what runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (PerfprintError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError):

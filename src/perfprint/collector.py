@@ -95,7 +95,7 @@ def _required_paranoid(core_wide: bool) -> str:
     return f"{highest} or lower"
 
 
-@dataclass
+@dataclass(eq=False)
 class RawTraceSet:
     """Per-event delta series from one collection session.
 

@@ -56,7 +56,9 @@ FILE_VERSION = 1
 _HEADER_META_KEYS = ("scenario", "events", "samples_per_event")
 
 
-@dataclass(frozen=True)
+# The records that hold arrays compare by identity (eq=False): a generated
+# __eq__ would compare the arrays and raise.
+@dataclass(frozen=True, eq=False)
 class Measurement:
     label: str
     features: np.ndarray
@@ -70,7 +72,7 @@ class Measurement:
             raise DataError("measurement features must be a 1-D vector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormParams:
     """Per-feature min/max fitted on a training set."""
 
@@ -84,7 +86,7 @@ class NormParams:
             raise DataError("normalization min/max shapes differ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     measurements: tuple[Measurement, ...]
     normalization: NormParams | None = None

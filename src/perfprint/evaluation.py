@@ -20,7 +20,7 @@ from .dataset import Dataset, _write_atomic, kfold, shuffle_by_class, write_json
 from .errors import ConfigError, DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     rankings: np.ndarray  # each test row's first g_max class indices, best first
     truth: np.ndarray  # each test row's class index
@@ -85,6 +85,8 @@ def learning_curve(
     """
     if not train_sizes or min(train_sizes) < 1:
         raise ConfigError("train sizes must be positive")
+    if n_test_per_class < 1:
+        raise ConfigError(f"test size must be >= 1 per class, got {n_test_per_class}")
     needed = n_test_per_class + max(train_sizes)
     order = shuffle_by_class(d, seed, needed, f"needs {needed} for this curve")
     test = d.subset(sorted(i for rows in order for i in rows[:n_test_per_class]))
@@ -97,7 +99,7 @@ def learning_curve(
     return curve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossValResult:
     reports: list[EvalReport]
 

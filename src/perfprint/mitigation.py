@@ -82,7 +82,7 @@ def apply(policy: MitigationPolicy, d: Dataset, rms_reference: Dataset | None = 
     return d.with_features(np.clip(noisy, 0.0, None, out=noisy))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeakageReport:
     before: EvalReport
     after: EvalReport

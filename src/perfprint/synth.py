@@ -51,7 +51,7 @@ class NoiseModel:
             raise ConfigError(f"noise model beyond the generator's range: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassProfile:
     label: str
     waveforms: tuple[np.ndarray, ...]  # one per event, equal lengths

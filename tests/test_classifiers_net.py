@@ -174,12 +174,14 @@ def test_different_seed_changes_weights():
     assert not np.array_equal(a.weights["w1"], b.weights["w1"])
 
 
-def test_memory_budget_error_advises_downsampling():
+@pytest.mark.parametrize("budget_mb", [0.01, float("nan")])
+def test_memory_budget_error_advises_downsampling(budget_mb):
+    # No estimate fits within a nan budget.
     rng = np.random.default_rng(50)
     d = random_dataset(rng, 3, 4, 50)
     with pytest.raises(ConfigError, match="downsample"):
-        train_net(d, seed=0, memory_budget_mb=0.01)
-    assert estimate_memory_mb(12, 50, 300, 30, 3) > 0.01
+        train_net(d, seed=0, memory_budget_mb=budget_mb)
+    assert not estimate_memory_mb(12, 50, 300, 30, 3) <= budget_mb
 
 
 @pytest.mark.parametrize("n_classes, per_class, width, hidden1, hidden2", [

@@ -784,11 +784,15 @@ def test_a_flag_of_another_kind_exits_two(tmp_path, capsys, command, flag, owner
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", list(cli._MODEL_FLAGS))
-def test_every_flag_names_a_parameter_of_its_trainer(kind):
-    # A flag left out takes the default of the trainer keyword it names.
-    params = inspect.signature(classifiers._TRAINERS[kind]).parameters
-    assert {kw for _, kw, _, _ in cli._MODEL_FLAGS[kind]} <= set(params)
+@pytest.mark.parametrize("flags, constructor", [
+    *((cli._MODEL_FLAGS[kind], classifiers._TRAINERS[kind]) for kind in cli._MODEL_FLAGS),
+    *((cli._POLICY_FLAGS[policy], cli._POLICIES[policy]) for policy in cli._POLICY_FLAGS),
+], ids=[*cli._MODEL_FLAGS, *(f"policy-{policy}" for policy in cli._POLICY_FLAGS)])
+def test_every_flag_names_a_parameter_of_its_trainer(flags, constructor):
+    # A flag left out takes the default of the trainer or policy keyword it
+    # names; a misnamed one would end in a KeyError.
+    params = inspect.signature(constructor).parameters
+    assert {kw for _, kw, _, _ in flags} <= set(params)
 
 
 def test_evaluate_refuses_an_out_dir_that_is_a_file_before_scoring(tmp_path, capsys, monkeypatch):
@@ -829,6 +833,8 @@ def _bad_path_case(tmp_path, case):
         "prep-downsample-neg": (["prep", "--data", full, "--downsample", -4, "--out", out], out),
         "await-timeout-nan": (["collect", "--scenario", "TorIntel", "--label", "x",
                                "--await", "tor", "--await-timeout", "nan", "--out", out], out),
+        **{f"curve-n-test-{n}": (["curve", "--data", full, "--kind", "knn", "--sizes", 2,
+                                  "--n-test", n, "--out", out], out) for n in (0, -3)},
     }[case]
 
 
@@ -843,6 +849,8 @@ def _bad_path_case(tmp_path, case):
     ("prep-downsample-0", 2),
     ("prep-downsample-neg", 2),
     ("await-timeout-nan", 2),
+    ("curve-n-test-0", 2),
+    ("curve-n-test--3", 2),
 ])
 def test_a_bad_path_or_value_prints_one_error_line(tmp_path, capsys, case, code):
     # Whatever the target was before, it still is: no file in its place and
@@ -866,10 +874,11 @@ def _subcommands():
 
 @pytest.mark.parametrize("command", sorted(_subcommands()))
 def test_the_mode_table_lists_every_optional_flag_once(command):
-    # A flag added to the parser without a table entry fails here.
+    # A flag added to the parser without a table row fails here.
     optional = [a.option_strings[-1] for a in _subcommands()[command]._actions
                 if a.option_strings and not a.required and a.dest != "help"]
-    assert sorted(optional) == sorted(cli._FLAG_MODES[command])
+    rows = cli._COMMANDS[command][1]
+    assert sorted(optional) == sorted(flag for flag, kw, _ in rows if not kw.get("required"))
 
 
 # Every command's required arguments, and for each selector an argv that
@@ -896,8 +905,8 @@ _MODE_ARGVS = {
 }
 _FLAG_CASES = [
     (command, flag, mode == owner[1], argv)
-    for command, flags in cli._FLAG_MODES.items()
-    for flag, owner in flags.items() if owner is not None
+    for command, (_, rows) in cli._COMMANDS.items()
+    for flag, _, owner in rows if owner is not None
     for mode, argvs in _MODE_ARGVS[owner[0]].items()
     for argv in argvs
 ]

@@ -7,7 +7,10 @@ from perfprint import dataset
 from perfprint.collector import RawTraceSet
 from perfprint.dataset import Dataset, Measurement, NormParams
 from perfprint.errors import ConfigError, DataError
+from perfprint.evaluation import CrossValResult, EvalReport
 from perfprint.events import CollectorConfig, EventSpec, ProfilingScope, preset
+from perfprint.mitigation import LeakageReport
+from perfprint.synth import ClassProfile
 
 from helpers import build_dataset
 
@@ -522,3 +525,27 @@ def test_zero_width_datasets_round_trip(tmp_path):
     saved.write_text(saved.read_text() + "b,\n")  # a trailing comma is one empty feature
     with pytest.raises(DataError, match="line 5 \\(label 'b'\\): expected 0 features, found 1"):
         dataset.load(str(saved))
+
+
+def _report():
+    return EvalReport(rankings=np.array([[0, 1], [1, 0]]), truth=np.array([0, 1]),
+                      classes=["a", "b"])
+
+
+# Every record that holds numpy arrays, built twice from the same values.
+@pytest.mark.parametrize("make", [
+    lambda: Measurement(label="a", features=np.arange(3.0)),
+    lambda: NormParams(np.zeros(3), np.ones(3)),
+    lambda: Dataset((Measurement("a", np.arange(3.0)), Measurement("b", np.ones(3)))),
+    _report,
+    lambda: CrossValResult([_report(), _report()]),
+    lambda: LeakageReport(_report(), _report(), {"split": 0}),
+    lambda: ClassProfile("a", (np.arange(3.0), np.ones(3))),
+    lambda: _raw({"instructions": [1, 2, 3], "bus-cycles": [4, 5, 6]}),
+], ids=["Measurement", "NormParams", "Dataset", "EvalReport", "CrossValResult",
+        "LeakageReport", "ClassProfile", "RawTraceSet"])
+def test_records_holding_arrays_compare_without_raising(make):
+    # A generated __eq__ would compare the arrays and raise; these compare
+    # by identity.
+    a, b = make(), make()
+    assert (a == b) is False and (a == a) is True
