@@ -199,7 +199,10 @@ def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
     given.clear()
     spare = [np.empty_like(p) for p in params]
     lr = learning_rate
-    loss, cache = loss_fn(params)
+    # A loss that overflows is judged by its value, not by numpy's warning:
+    # a first loss that is not finite raises, and a trial's is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, cache = loss_fn(params)
     if not math.isfinite(loss):
         raise DataError(f"the initial loss is {loss}")
     history = [loss]
@@ -208,10 +211,11 @@ def descend(params, loss_fn, grad_fn, max_iterations, learning_rate):
         if grads is None:
             grads = grad_fn(params, cache)
             cache = None  # the activations are not needed once the gradients exist
-        for p, g, s in zip(params, grads, spare):
-            np.multiply(g, lr, out=s)
-            np.subtract(p, s, out=s)
-        new_loss, new_cache = loss_fn(spare)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, g, s in zip(params, grads, spare):
+                np.multiply(g, lr, out=s)
+                np.subtract(p, s, out=s)
+            new_loss, new_cache = loss_fn(spare)
         if new_loss <= loss:
             params, spare = spare, params
             loss, cache, grads = new_loss, new_cache, None

@@ -135,7 +135,7 @@ def _active_set(q, c, tol, max_iterations):
             continue
         step = -slope / curvature if curvature > 0.0 else np.inf
         a_f = alpha[f]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             room = np.where(p < 0.0, -a_f / p, np.where(p > 0.0, (c - a_f) / p, np.inf))
         j = int(np.argmin(room))
         minimized = step < room[j]

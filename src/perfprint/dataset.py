@@ -4,16 +4,18 @@ A Measurement is the concatenation of all per-event sample series captured
 during one workload run. Datasets are immutable after construction: every
 operation returns a new value.
 
-File format: one self-describing JSON header line, then one CSV row per
-measurement (`label,feature_0,...`), floats at 9 significant digits. Every
-feature is finite: `nan` and infinities are refused on write and on load.
-The header is strict JSON, so a non-finite value in it is refused too.
-The header alone records a trace file's layout (`scenario`, `events`,
-`samples_per_event`); a row's meta holds facts about that row only, such
-as `captured_at` or `visit`.
-
-Rows whose values are all integers below 1e9 in magnitude (counter
-samples) are written through `%d`, the same text `%.9g` gives.
+File format, version 2. Line 1 is a strict JSON header holding only what
+is fixed when the file is created: `format`, `version`, `feature_length`,
+the trace layout (`scenario`, `events`, `samples_per_event`), the other
+dataset `meta` and the `normalization`. Each later line is one row,
+`label,feature_0,...`, then a tab and the row's meta as compact strict
+JSON if it has any: `site-a,12,7\t{"visit":3}`. The labels give the
+classes. A label holds no comma, tab or line break, and every feature,
+header value and row meta is finite, on write and on load. Features are
+written at 9 significant digits; rows of integers below 1e9 in magnitude
+(counter samples) go through `%d`, the same text `%.9g` gives. Version-1
+files, whose header also holds the class list and one `row_meta` entry
+per row, load as they always have.
 
 Loading parses every row body in one `np.loadtxt` call. A file with no
 `-`, `.`, `e` or `E` in any row body (a file of counter rows) is read by
@@ -26,18 +28,23 @@ would (a malformed row, a non-finite value, a token only Python's `float`
 accepts) is parsed again line by line, which names the first bad line in
 its DataError.
 
-Every dataset write is atomic: the file is written beside its target and
-renamed over it, so a failed write leaves the old file as it was. Appending
-a measurement re-reads and re-validates the whole file as `load` does, but
-re-writes only the header and the new row; the existing rows are copied as
-they stand. An append whose dataset meta disagrees with the file's on any
-key the file holds is refused, and the file keeps its bytes.
+`save` writes the file beside its target and renames it over it, so a
+failed save leaves the old file as it was. `append_measurement` reads
+line 1 only, and when it fits the row, writes the row's line at the end of
+the file, its `\n` last, and syncs it. `load` leaves out a final line
+with no `\n`, and the next append cuts it off, so an append cut short
+leaves a file that loads as before. An append that needs another header
+(a new file, a version-1 file, a dataset meta key the file lacks) loads
+the file and saves it with the row. An append whose dataset meta
+disagrees with the file's on a key the file holds is refused, and the
+file keeps its bytes. A trace file has one writer at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import mmap
 import os
 import shutil
 import warnings
@@ -50,7 +57,7 @@ from .events import EVENT_KINDS
 from .collector import RawTraceSet
 
 FILE_FORMAT = "perfprint-dataset"
-FILE_VERSION = 1
+FILE_VERSION = 2
 # Dataset meta keys the header holds at its top level, in header order;
 # every other meta key goes under "meta".
 _HEADER_META_KEYS = ("scenario", "events", "samples_per_event")
@@ -269,34 +276,35 @@ def kfold(d: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
 
 
 def _format_row(m: Measurement) -> str:
-    """`label,feature_0,...`, each feature as `%.9g` prints it; a row with
-    no features is its label alone.
+    """`label,feature_0,...`, each feature as `%.9g` prints it, then a tab
+    and the row's meta as compact JSON when it has any. A row with no
+    features has no comma.
 
     A row of integers below 1e9 in magnitude goes through `%d` on int64
     values instead, which gives the same text faster. -0.0 is left to
     `%.9g`, which keeps its sign.
     """
     x = m.features
-    if not x.size:
-        return m.label + "\n"
-    if (np.abs(x) < 1e9).all() and (np.trunc(x) == x).all() and not np.signbit(x[x == 0]).any():
-        fmt, values = "%d", x.astype(np.int64).tolist()
-    else:
-        fmt, values = "%.9g", x.tolist()
-    return m.label + "," + (",".join([fmt] * len(values)) % tuple(values)) + "\n"
+    line = m.label
+    if x.size:
+        if (np.abs(x) < 1e9).all() and (np.trunc(x) == x).all() and not np.signbit(x[x == 0]).any():
+            fmt, values = "%d", x.astype(np.int64).tolist()
+        else:
+            fmt, values = "%.9g", x.tolist()
+        line += "," + (",".join([fmt] * len(values)) % tuple(values))
+    if m.meta:
+        line += "\t" + _strict_json(m.meta)
+    return line + "\n"
 
 
 def _header_line(d: Dataset) -> str:
-    row_meta = [m.meta for m in d.measurements]
     header = {
         "format": FILE_FORMAT,
         "version": FILE_VERSION,
         "feature_length": d.feature_length,
-        "classes": d.classes,
         **{key: d.meta.get(key) for key in _HEADER_META_KEYS},
         "meta": {k: v for k, v in d.meta.items() if k not in _HEADER_META_KEYS},
         "normalization": None,
-        "row_meta": row_meta if any(row_meta) else None,
     }
     if d.normalization is not None:
         if d.normalization.feature_min.shape != (d.feature_length,):  # `load` would refuse it
@@ -306,21 +314,22 @@ def _header_line(d: Dataset) -> str:
             "min": d.normalization.feature_min.tolist(),
             "max": d.normalization.feature_max.tolist(),
         }
-    return _header_json(header) + "\n"
+    return _strict_json(header) + "\n"
 
 
-def _header_json(value) -> str:
+def _strict_json(value) -> str:
     """`value` as compact strict JSON; a DataError if it holds a non-finite float."""
     try:
         return json.dumps(value, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
-        raise DataError(f"a dataset header cannot hold a non-finite value: {exc}") from None
+        raise DataError(f"a dataset file cannot hold a non-finite value: {exc}") from None
 
 
 def _check_row(m: Measurement):
     """Refuse a row that `load` would not read back as written."""
-    # A row must stay one line under str.splitlines, which `load` splits by.
-    if "," in m.label or m.label.splitlines() not in ([m.label], []):
+    # A comma ends the label and a tab the row's body; a row must stay one
+    # line under str.splitlines, which `load` splits by.
+    if "," in m.label or "\t" in m.label or m.label.splitlines() not in ([m.label], []):
         raise DataError(f"label {m.label!r} contains a reserved character")
     if not np.isfinite(m.features).all():
         raise DataError(f"measurement labeled {m.label!r} has a non-finite feature")
@@ -379,23 +388,46 @@ def save(d: Dataset, path: str):
 
 
 def load(path: str) -> Dataset:
-    return _parse(path)[0]
-
-
-def _parse(path: str) -> tuple[Dataset, list[str]]:
-    """Parse and validate a dataset file; also return its non-empty row lines.
+    """Parse and validate a dataset file of either version.
 
     All row bodies are parsed at once by `_parse_rows_bulk`. Only when that
     cannot vouch for its result does `_parse_rows_one_by_one` run, and it
     either raises the DataError naming the first bad line or reads the rare
     tokens the bulk parser refuses. Both round correctly, so the features
-    are the same bits either way. A header `row_meta` needs one entry per row.
+    are the same bits either way. A version-2 file's final line with no
+    `\n` (an append cut short) is left out. A version-1 header's `row_meta`
+    needs one entry per row.
     """
     try:
-        with open(path, "r") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "r", newline="") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode the file as text: {exc}") from exc
+    lines = text.splitlines()
+    header = _read_header(path, lines)
+    inline_meta = header["version"] == 2
+    if inline_meta and not text.endswith("\n"):
+        lines = text[:text.rfind("\n") + 1].splitlines() or lines[:1]
+    del text  # the lines hold it all; keeping both would double the file's share of the peak
+
+    length = header.get("feature_length")
+    row_meta = None if inline_meta else header.get("row_meta")
+    rows = [line for line in lines[1:] if line]
+    measurements = _parse_rows_bulk(rows, length, row_meta, inline_meta)
+    if measurements is None:
+        measurements = _parse_rows_one_by_one(path, lines, length, row_meta, inline_meta)
+        if row_meta is not None and len(row_meta) > len(measurements):
+            raise DataError(
+                f"{path}: line 1: header row_meta has {len(row_meta)} entries, "
+                f"more than the {len(measurements)} rows"
+            )
+    return Dataset(measurements=tuple(measurements), normalization=_read_normalization(path, header),
+                   meta=_header_meta(header))
+
+
+def _read_header(path: str, lines: list[str]) -> dict:
+    """A dataset file's header, from its `lines`, with its format, version
+    and field types checked."""
     if not lines:
         raise DataError(f"{path}: empty dataset file")
     try:
@@ -406,7 +438,7 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
         raise DataError(f"{path}: line 1: header is not a JSON object")
     if header.get("format") != FILE_FORMAT:
         raise DataError(f"{path}: not a {FILE_FORMAT} file")
-    if type(header.get("version")) is not int or header["version"] != FILE_VERSION:
+    if type(header.get("version")) is not int or header["version"] not in (1, FILE_VERSION):
         raise DataError(f"{path}: unsupported version {header.get('version')!r}")
 
     for key, kind, item in (("events", list, str), ("classes", list, str), ("row_meta", list, dict),
@@ -418,45 +450,46 @@ def _parse(path: str) -> tuple[Dataset, list[str]]:
     for name in header.get("events") or []:
         if name not in EVENT_KINDS:
             raise DataError(f"{path}: header references unknown event {name!r}")
+    return header
 
+
+def _read_normalization(path: str, header: dict) -> NormParams | None:
+    """The header's normalization, which must hold `feature_length` finite
+    numbers in min and in max."""
+    if header.get("normalization") is None:
+        return None
     length = header.get("feature_length")
-    row_meta = header.get("row_meta")
-    rows = [line for line in lines[1:] if line]
-    measurements = _parse_rows_bulk(rows, length, row_meta)
-    if measurements is None:
-        measurements = _parse_rows_one_by_one(path, lines, length, row_meta)
-        if row_meta is not None and len(row_meta) > len(measurements):
-            raise DataError(
-                f"{path}: line 1: header row_meta has {len(row_meta)} entries, "
-                f"more than the {len(measurements)} rows"
-            )
-
-    classes = sorted({m.label for m in measurements})
-    if header.get("classes") and classes != sorted(header["classes"]):
-        raise DataError(
-            f"{path}: header classes {header['classes']} do not match rows {classes}"
+    try:
+        normalization = NormParams(
+            feature_min=np.array(header["normalization"]["min"], dtype=np.float64),
+            feature_max=np.array(header["normalization"]["max"], dtype=np.float64),
         )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
+    if not all(b.shape == (length,) and np.isfinite(b).all()
+               for b in (normalization.feature_min, normalization.feature_max)):
+        raise DataError(f"{path}: line 1: normalization min/max need {length} finite numbers")
+    return normalization
 
-    normalization = None
-    if header.get("normalization") is not None:
-        try:
-            normalization = NormParams(
-                feature_min=np.array(header["normalization"]["min"], dtype=np.float64),
-                feature_max=np.array(header["normalization"]["max"], dtype=np.float64),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line 1: malformed normalization: {exc!r}") from exc
-        if not all(b.shape == (length,) and np.isfinite(b).all()
-                   for b in (normalization.feature_min, normalization.feature_max)):
-            raise DataError(f"{path}: line 1: normalization min/max need {length} finite numbers")
+
+def _header_meta(header: dict) -> dict:
+    """The dataset meta a header holds: its `meta` and its non-null layout keys."""
     meta = dict(header.get("meta") or {})
     for key in _HEADER_META_KEYS:
         if header.get(key) is not None:
             meta[key] = header[key]
-    return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta), rows
+    return meta
 
 
-def _parse_rows_bulk(rows: list[str], length, row_meta) -> list[Measurement] | None:
+def _row_meta(text: str) -> dict:
+    """A version-2 row's meta, from the JSON after its tab."""
+    meta = json.loads(text, parse_constant=refuse_constant)
+    if not isinstance(meta, dict):
+        raise ValueError("not a JSON object")
+    return meta
+
+
+def _parse_rows_bulk(rows: list[str], length, row_meta, inline_meta: bool) -> list[Measurement] | None:
     """Every row body parsed by one `np.loadtxt` call, or None when the
     result might differ from what `_parse_rows_one_by_one` returns.
 
@@ -471,35 +504,53 @@ def _parse_rows_bulk(rows: list[str], length, row_meta) -> list[Measurement] | N
     file instead.
 
     The result is kept only when each row holds `length` finite features
-    and `row_meta`, if present, has one entry per row. Any other file, and
-    any token loadtxt refuses, goes to the per-line parser, which raises
-    the error or accepts the tokens only Python's `float` reads (`1_0`,
-    `١`).
+    and its meta (after its first tab in version 2, `inline_meta`; in
+    `row_meta` in version 1) is a JSON object. Any other file, and any
+    token loadtxt refuses, goes to the per-line parser, which raises the
+    error or accepts the tokens only Python's `float` reads (`1_0`, `١`).
     """
-    split = [row.partition(",") for row in rows]
-    bodies = [body for _, _, body in split]
+    labels, bodies, ends = [], [], []
+    metas = [] if inline_meta else row_meta
+    for row in rows:
+        label, _, body = row.partition(",")
+        end = len(body)
+        if inline_meta:
+            if "\t" in label:  # a row with no features, which the per-line parser reads
+                return None
+            tab = body.find("\t")
+            try:
+                metas.append(_row_meta(body[tab + 1:]) if tab >= 0 else {})
+            except (ValueError, RecursionError):
+                return None
+            end = tab if tab >= 0 else end
+        labels.append(label)
+        bodies.append(body)
+        ends.append(end)
     # loadtxt skips empty lines, so an empty body would shift every later
     # row; "\x1f" is whitespace to loadtxt but not to numpy's string cast.
     if not bodies or not all(bodies) or any("\x1f" in body for body in bodies):
         return None
-    if row_meta is not None and len(row_meta) != len(rows):
+    if metas is not None and len(metas) != len(rows):
         return None
+    # A version-2 body is read up to its first tab, as a comment starts
+    # there; its meta is not copied out of it.
+    comments = "\t" if inline_meta else None
     x = None
-    if not any(c in body for body in bodies for c in "-.eE"):
-        x = _loadtxt(bodies, np.int64)
+    if not any(body.find(c, 0, end) >= 0 for body, end in zip(bodies, ends) for c in "-.eE"):
+        x = _loadtxt(bodies, np.int64, comments)
     if x is None:
-        x = _loadtxt(bodies, np.float64)
+        x = _loadtxt(bodies, np.float64, comments)
     if x is None or x.shape != (len(rows), length) or not np.isfinite(x).all():
         return None
-    metas = row_meta if row_meta is not None else [{} for _ in rows]
     return [
         Measurement(label=label, features=features, meta=meta)
-        for (label, _, _), features, meta in zip(split, x, metas)
+        for label, features, meta in zip(labels, x, metas or [{} for _ in rows])
     ]
 
 
-def _loadtxt(bodies: list[str], dtype) -> np.ndarray | None:
-    """`bodies` read by loadtxt's parser for `dtype`, as float64; None when
+def _loadtxt(bodies: list[str], dtype, comments) -> np.ndarray | None:
+    """`bodies` read by loadtxt's parser for `dtype`, each up to its first
+    `comments` character if that is given, as float64; None when
     it refuses a token. Older numpy (from 1.23) reads a token its integer
     parser refuses through the float parser with only a DeprecationWarning,
     and casts `inf` or a value above int64 to a wrong integer, so that
@@ -507,19 +558,27 @@ def _loadtxt(bodies: list[str], dtype) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            x = np.loadtxt(bodies, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+            x = np.loadtxt(bodies, delimiter=",", dtype=dtype, comments=comments, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
     return x.astype(np.float64, copy=False)
 
 
-def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta) -> list[Measurement]:
+def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta,
+                           inline_meta: bool) -> list[Measurement]:
     """The rows of `lines[1:]` parsed line by line; raises the DataError
     that names the first bad line."""
     measurements = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
+        meta = {}
+        if inline_meta:
+            line, tab, tail = line.partition("\t")
+            try:
+                meta = _row_meta(tail) if tab else {}
+            except (ValueError, RecursionError) as exc:
+                raise DataError(f"{path}: line {lineno}: malformed row meta: {exc}") from exc
         fields = line.split(",")
         label = fields[0]
         if len(fields) - 1 != length:
@@ -533,7 +592,6 @@ def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta) -> lis
             raise DataError(f"{path}: line {lineno}: non-numeric feature: {exc}") from exc
         if not np.isfinite(features).all():
             raise DataError(f"{path}: line {lineno} (label {label!r}): non-finite feature")
-        meta = {}
         if row_meta is not None:
             if len(measurements) >= len(row_meta):
                 raise DataError(
@@ -546,35 +604,82 @@ def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta) -> lis
     return measurements
 
 
+def _merged_meta(path: str, meta: dict, wanted: dict) -> dict:
+    """`meta` with the keys of `wanted` it lacks added; a DataError when the
+    two disagree on a key `meta` holds."""
+    merged = dict(meta)
+    # setdefault adds a key the file lacks and returns the file's value of the others.
+    conflicts = [
+        f"{key} is {merged[key]!r} in the file, {value!r} in the append"
+        for key, value in wanted.items()
+        if merged.setdefault(key, value) != value
+    ]
+    if conflicts:
+        raise DataError(f"{path}: the append's dataset meta disagrees with the file's: "
+                        + "; ".join(conflicts))
+    return merged
+
+
 def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = None):
     """Append one measurement to a trace file, creating it if needed.
 
-    The existing file is parsed and validated in full, as `load` does. Only
-    the header (class list, row metadata, merged meta) and the new row are
-    formatted; the existing row lines are copied verbatim. Feature length
-    must match what the file already holds, and so must every key of
-    `dataset_meta` the file already holds; keys the file lacks are added.
+    Its feature length must match the rows the file already holds, and so
+    must every key of `dataset_meta` the file already holds; keys the file
+    lacks are added. Only line 1 is read when it already fits the row;
+    otherwise the file is loaded and saved with the row.
     """
     _check_row(m)
-    d, rows = _parse(path) if os.path.exists(path) else (Dataset(measurements=()), [])
+    # Compared as the header holds them: a tuple reads back as a list.
+    wanted = json.loads(_strict_json(dataset_meta or {}))
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_APPEND)
+    except FileNotFoundError:
+        d = Dataset(measurements=())
+    else:
+        try:
+            if _append_in_place(path, fd, m, wanted):
+                return
+        finally:
+            os.close(fd)
+        d = load(path)
     if len(d) and d.feature_length != len(m.features):
         raise DataError(
             f"{path}: holds {d.feature_length}-feature rows, "
             f"cannot append {len(m.features)}"
         )
-    meta = dict(d.meta)
-    # Compared as the header holds them (a tuple reads back as a list). setdefault
-    # adds a key the file lacks and returns the file's value of the others.
-    conflicts = [
-        f"{key} is {meta[key]!r} in the file, {value!r} in the append"
-        for key, value in json.loads(_header_json(dataset_meta or {})).items()
-        if meta.setdefault(key, value) != value
-    ]
-    if conflicts:
-        raise DataError(f"{path}: the append's dataset meta disagrees with the file's: "
-                        + "; ".join(conflicts))
-    d = Dataset(measurements=d.measurements + (m,), normalization=d.normalization, meta=meta)
-    _write_atomic(
-        path,
-        itertools.chain([_header_line(d)], (row + "\n" for row in rows), [_format_row(m)]),
-    )
+    meta = _merged_meta(path, d.meta, wanted)
+    save(Dataset(measurements=d.measurements + (m,), normalization=d.normalization, meta=meta), path)
+
+
+def _append_in_place(path: str, fd: int, m: Measurement, wanted: dict) -> bool:
+    """Write `m`'s line at the end of the file open as `fd` (O_APPEND),
+    after cutting off a final line with no `\n`; on an error the file is
+    cut back to where it was. False, having written nothing, unless line 1
+    is a version-2 header that already fits the row and `wanted`."""
+    try:
+        with open(fd, "r", newline="", closefd=False) as fh:
+            first, encoding = fh.readline(), fh.encoding
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode the file as text: {exc}") from exc
+    header = _read_header(path, first.splitlines())
+    if header["version"] != 2:
+        return False
+    _read_normalization(path, header)  # refused here as `load` would refuse it
+    meta = _header_meta(header)
+    if (_merged_meta(path, meta, wanted) != meta or header.get("feature_length") != len(m.features)
+            or not first.endswith("\n")):
+        return False
+    line = memoryview(_format_row(m).encode(encoding))
+    size = os.fstat(fd).st_size
+    with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as mm:
+        end = mm.rfind(b"\n") + 1  # past the last complete line
+    try:
+        if end < size:
+            os.ftruncate(fd, end)
+        while line:
+            line = line[os.write(fd, line):]
+        os.fsync(fd)
+    except BaseException:
+        os.ftruncate(fd, end)
+        raise
+    return True

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, downsample, split
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, DataError, check_seed
 from .evaluation import EvalReport, evaluate
 
 
@@ -74,11 +74,19 @@ def apply(policy: MitigationPolicy, d: Dataset, rms_reference: Dataset | None = 
     if policy.sigma == 0:
         return d
     reference = rms_reference if rms_reference is not None else d
-    scale = policy.sigma * np.sqrt((reference.feature_matrix() ** 2).mean(axis=0))
-    noisy = np.random.default_rng(policy.seed).normal(0.0, 1.0, size=(len(d), d.feature_length))
-    noisy *= scale
-    for row, m in zip(noisy, d.measurements):
-        row += m.features
+    # Overflow is judged by the values: a scale that is not finite is
+    # refused before any noise is drawn, and a draw that overflows a finite
+    # scale near the float limit leaves an infinite feature, which every
+    # trainer refuses.
+    with np.errstate(over="ignore"):
+        scale = policy.sigma * np.sqrt((reference.feature_matrix() ** 2).mean(axis=0))
+        if not np.isfinite(scale).all():
+            raise DataError(f"the noise scale (sigma {policy.sigma} times each feature's RMS) "
+                            "is not finite")
+        noisy = np.random.default_rng(policy.seed).normal(0.0, 1.0, size=(len(d), d.feature_length))
+        noisy *= scale
+        for row, m in zip(noisy, d.measurements):
+            row += m.features
     return d.with_features(np.clip(noisy, 0.0, None, out=noisy))
 
 

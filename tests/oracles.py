@@ -414,26 +414,32 @@ def reference_vote_scores(pairs, decisions, n_classes):
 
 
 # -- reference copy of the per-line dataset parser ---------------------------
-# `dataset._parse` as it was when it parsed one row at a time, copied
-# verbatim but for three named intended differences, which the package
-# shares: (a) the header is strict JSON, so `NaN`, `Infinity` and
-# `-Infinity` are refused; (b) its version must be the int 1, not `true` or
-# `1.0`; (c) its normalization must hold `feature_length` finite numbers in
-# min and in max, checked after the rows. One difference is left to the
-# test: this loads a file whose header row_meta has more entries than the
-# file has rows, which the package refuses.
+# `dataset.load` as it was when it parsed one row at a time, copied verbatim
+# but for five named intended differences, which the package shares: (a)
+# the header is strict JSON, so `NaN`, `Infinity` and `-Infinity` are
+# refused; (b) its version must be the int 1 or 2, not `true` or `1.0`; (c)
+# its normalization must hold `feature_length` finite numbers in min and in
+# max, checked after the rows; (d) the header `classes` is not checked
+# against the rows, which give the classes; (e) a version-2 file holds
+# each row's meta after the row's first tab as a strict JSON object, and
+# its final line is left out when it has no `\n` (an append that never
+# completed), so the file is read with its line ends untranslated. One
+# difference is left to the test: this loads a version-1 file whose
+# header row_meta has more entries than the file has rows, which the
+# package refuses.
 
 
 def reference_parse(path):
-    """Parse and validate a dataset file; also return its non-empty row lines."""
+    """Parse and validate a dataset file."""
     import json
 
-    from perfprint.dataset import FILE_FORMAT, FILE_VERSION, Dataset, Measurement, NormParams
+    from perfprint.dataset import FILE_FORMAT, Dataset, Measurement, NormParams
     from perfprint.errors import DataError
     from perfprint.events import EVENT_KINDS
 
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "r", newline="") as fh:  # (e)
+        text = fh.read()
+    lines = text.splitlines()
     if not lines:
         raise DataError(f"{path}: empty dataset file")
 
@@ -448,7 +454,8 @@ def reference_parse(path):
         raise DataError(f"{path}: line 1: header is not a JSON object")
     if header.get("format") != FILE_FORMAT:
         raise DataError(f"{path}: not a {FILE_FORMAT} file")
-    if type(header.get("version")) is not int or header.get("version") != FILE_VERSION:  # (b)
+    version = header.get("version")
+    if type(version) is not int or version not in (1, 2):  # (b)
         raise DataError(f"{path}: unsupported version {header.get('version')!r}")
 
     for key, kind, item in (("events", list, str), ("classes", list, str), ("row_meta", list, dict),
@@ -460,14 +467,24 @@ def reference_parse(path):
     for name in header.get("events") or []:
         if name not in EVENT_KINDS:
             raise DataError(f"{path}: header references unknown event {name!r}")
+    if version == 2 and not text.endswith("\n"):  # (e)
+        lines = lines[:1] + text[:text.rfind("\n") + 1].splitlines()[1:]
 
     length = header.get("feature_length")
-    row_meta = header.get("row_meta")
+    row_meta = header.get("row_meta") if version == 1 else None
     measurements = []
-    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
+        meta = {}
+        if version == 2 and "\t" in line:  # (e)
+            line, tail = line.split("\t", 1)
+            try:
+                meta = json.loads(tail, parse_constant=refuse_constant)
+                if not isinstance(meta, dict):
+                    raise ValueError("not a JSON object")
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: malformed row meta: {exc}") from exc
         fields = line.split(",")
         label = fields[0]
         if len(fields) - 1 != length:
@@ -481,7 +498,6 @@ def reference_parse(path):
             raise DataError(f"{path}: line {lineno}: non-numeric feature: {exc}") from exc
         if not np.isfinite(features).all():
             raise DataError(f"{path}: line {lineno} (label {label!r}): non-finite feature")
-        meta = {}
         if row_meta is not None:
             if len(measurements) >= len(row_meta):
                 raise DataError(
@@ -490,13 +506,6 @@ def reference_parse(path):
                 )
             meta = row_meta[len(measurements)]
         measurements.append(Measurement(label=label, features=features, meta=meta))
-        rows.append(line)
-
-    classes = sorted({m.label for m in measurements})
-    if header.get("classes") and classes != sorted(header["classes"]):
-        raise DataError(
-            f"{path}: header classes {header['classes']} do not match rows {classes}"
-        )
 
     normalization = None
     if header.get("normalization") is not None:
@@ -515,7 +524,7 @@ def reference_parse(path):
     for key in ("scenario", "events", "samples_per_event"):
         if header.get(key) is not None:
             meta[key] = header[key]
-    return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta), rows
+    return Dataset(measurements=tuple(measurements), normalization=normalization, meta=meta)
 
 
 # -- reference copies of the net's training step ------------------------------

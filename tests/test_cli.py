@@ -472,6 +472,22 @@ def test_train_svm_prints_how_the_pairs_were_solved(tmp_path, capsys):
     assert summary == "svm pairs: 0 certified, 3 uncertified at max_passes 4 (tol 0)"
 
 
+@pytest.mark.parametrize("flags", [("--kind", "svm", "--C", "1e308"),
+                                   ("--kind", "net", "--lr", "1e308", "--max-iter", 3)],
+                         ids=["svm-C", "net-lr"])
+def test_a_step_that_overflows_trains_without_a_warning(tmp_path, capsys, flags):
+    # The SVM's room to each box bound and the net's trial weights overflow
+    # to infinity. The SVM's step then stops at its own length, and the
+    # net's trial loss is not finite, so its step is rejected.
+    full, model = tmp_path / "full.csv", tmp_path / "m.json"
+    assert run(*synth_args(full, classes=3, per_class=4, samples=20)) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--data", full, *flags, "--out", model) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _drop_classes(doc):
     del doc["classes"]
 
@@ -688,10 +704,10 @@ def test_evaluate_knn_on_a_query_whose_square_overflows_exits_three(tmp_path, ca
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("kind", ["knn", "svm"])
+@pytest.mark.parametrize("kind", ["knn", "svm", "net"])
 def test_a_feature_whose_square_overflows_prints_only_the_error_line(tmp_path, capsys, kind):
-    # kNN fails when it ranks a test row, SVM when it trains; no numpy
-    # warning may reach stderr ahead of the error line.
+    # kNN fails when it ranks a test row, SVM and the net when they train;
+    # no numpy warning may reach stderr ahead of the error line.
     model, test = _train_cli_model(tmp_path, "knn")
     data = tmp_path / ("test.csv" if kind == "knn" else "train.csv")
     d = dataset.load(str(data))
@@ -700,7 +716,7 @@ def test_a_feature_whose_square_overflows_prints_only_the_error_line(tmp_path, c
     dataset.save(d.with_features(x, normalization=d.normalization), str(data))
     argv = (("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r")
             if kind == "knn" else
-            ("train", "--data", data, "--kind", "svm", "--out", tmp_path / "svm.json"))
+            ("train", "--data", data, "--kind", kind, "--out", tmp_path / f"{kind}.json"))
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -835,6 +851,9 @@ def _bad_path_case(tmp_path, case):
                                "--await", "tor", "--await-timeout", "nan", "--out", out], out),
         **{f"curve-n-test-{n}": (["curve", "--data", full, "--kind", "knn", "--sizes", 2,
                                   "--n-test", n, "--out", out], out) for n in (0, -3)},
+        "mitigate-sigma-overflows": (["mitigate", "--data", full, "--policy", "noise",
+                                      "--sigma", "1e308", "--n-train", 2, "--n-test", 2,
+                                      "--kind", "knn", "--out", out], out),
     }[case]
 
 
@@ -851,6 +870,7 @@ def _bad_path_case(tmp_path, case):
     ("await-timeout-nan", 2),
     ("curve-n-test-0", 2),
     ("curve-n-test--3", 2),
+    ("mitigate-sigma-overflows", 3),
 ])
 def test_a_bad_path_or_value_prints_one_error_line(tmp_path, capsys, case, code):
     # Whatever the target was before, it still is: no file in its place and

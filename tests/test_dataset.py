@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -389,11 +390,19 @@ def test_append_rejects_what_load_rejects(tmp_path, header, rows, match):
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
+def _header_v2(**overrides):
+    header = {"format": "perfprint-dataset", "version": 2, "feature_length": 2,
+              "scenario": None, "events": None, "samples_per_event": None, "meta": {},
+              "normalization": None}
+    header.update(overrides)
+    return json.dumps(header)
+
+
 def test_append_keeps_hand_written_rows_as_written(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text(_header() + "\na,1.50,2e3\n\n")
+    path.write_text(_header_v2() + "\na,1.50,2e3\n\n")
     dataset.append_measurement(str(path), Measurement(label="a", features=[0.25, 3.0]))
-    assert path.read_text().splitlines()[1:] == ["a,1.50,2e3", "a,0.25,3"]
+    assert path.read_text().splitlines()[1:] == ["a,1.50,2e3", "", "a,0.25,3"]
     assert dataset.load(str(path)).feature_matrix().tolist() == [[1.5, 2000.0], [0.25, 3.0]]
 
 
@@ -498,8 +507,18 @@ def test_non_finite_features_are_refused(tmp_path, value):
     path.write_text(before.decode() + f"b,{value!r},2.0\n")
     with pytest.raises(DataError, match=f"^{path}: line 3 \\(label 'b'\\): non-finite"):
         dataset.load(str(path))
+    # An append to a version-2 file reads line 1 only, so it lands, and
+    # the file still fails to load at line 3. An append to a version-1
+    # file loads it first, and so refuses the bad row.
+    dataset.append_measurement(str(path), Measurement(label="c", features=[1.0, 2.0]))
     with pytest.raises(DataError, match=f"^{path}: line 3 "):
-        dataset.append_measurement(str(path), Measurement(label="c", features=[1.0, 2.0]))
+        dataset.load(str(path))
+    v1 = tmp_path / "v1.csv"
+    v1.write_text(_header() + f"\na,1.0,2.0\nb,{value!r},2.0\n")
+    before = v1.read_bytes()
+    with pytest.raises(DataError, match=f"^{v1}: line 3 "):
+        dataset.append_measurement(str(v1), Measurement(label="c", features=[1.0, 2.0]))
+    assert v1.read_bytes() == before
 
 
 def test_zero_width_datasets_round_trip(tmp_path):
@@ -511,7 +530,8 @@ def test_zero_width_datasets_round_trip(tmp_path):
     for m in rows:
         dataset.append_measurement(str(appended), m, dataset_meta={"scenario": "deny"})
     assert appended.read_bytes() == saved.read_bytes()
-    assert saved.read_text().splitlines()[1:] == ["a", "b", "a"]
+    assert saved.read_text().splitlines()[1:] == [f'{label}\t{{"visit":{i}}}'
+                                                  for i, label in enumerate("aba")]
     loaded = dataset.load(str(saved))
     assert loaded.labels() == ["a", "b", "a"] and loaded.feature_length == 0
     assert [m.meta for m in loaded.measurements] == [{"visit": i} for i in range(3)]
@@ -525,6 +545,191 @@ def test_zero_width_datasets_round_trip(tmp_path):
     saved.write_text(saved.read_text() + "b,\n")  # a trailing comma is one empty feature
     with pytest.raises(DataError, match="line 5 \\(label 'b'\\): expected 0 features, found 1"):
         dataset.load(str(saved))
+
+
+def _contents(d):
+    """Everything `load` returns, as comparable values."""
+    norm = d.normalization
+    return (d.labels(), [m.meta for m in d.measurements], d.feature_matrix().tobytes(), d.meta,
+            None if norm is None else (norm.feature_min.tolist(), norm.feature_max.tolist()))
+
+
+def test_a_version_2_file_holds_each_rows_meta_on_its_line(tmp_path):
+    path = tmp_path / "d.csv"
+    rows = [Measurement(label="a", features=[1.0, -2.5], meta={"visit": 0, "at": "t0"}),
+            Measurement(label="b", features=[3.0, 4.0])]
+    dataset.save(Dataset(measurements=tuple(rows), meta={"scenario": "TorIntel", "host": "h"}),
+                 str(path))
+    assert path.read_text().splitlines() == [
+        '{"format":"perfprint-dataset","version":2,"feature_length":2,"scenario":"TorIntel",'
+        '"events":null,"samples_per_event":null,"meta":{"host":"h"},"normalization":null}',
+        'a,1,-2.5\t{"visit":0,"at":"t0"}',
+        "b,3,4",
+    ]
+    loaded = dataset.load(str(path))
+    assert [m.meta for m in loaded.measurements] == [{"visit": 0, "at": "t0"}, {}]
+    assert loaded.classes == ["a", "b"]
+
+
+@pytest.mark.parametrize("tail, match", [
+    ("\t[1]", "line 3: malformed row meta: not a JSON object"),
+    ('\t{"x":NaN}', "line 3: malformed row meta: NaN is not a JSON value"),
+    ("\t{", "line 3: malformed row meta: Expecting property name"),
+], ids=["list", "nan", "cut"])
+def test_a_malformed_row_meta_names_its_line(tmp_path, tail, match):
+    path = tmp_path / "d.csv"
+    path.write_text(_header_v2() + "\na,1,2\na,3,4" + tail + "\n")
+    with pytest.raises(DataError, match=match):
+        dataset.load(str(path))
+
+
+@pytest.mark.parametrize("features", [[], [1.0]], ids=["label-only", "with-features"])
+@pytest.mark.parametrize("write", ["save", "append"])
+def test_a_label_holding_a_tab_is_refused(tmp_path, features, write):
+    # A tab would end the row where its meta begins.
+    path = tmp_path / "x.csv"
+    m = Measurement(label="a\tb", features=features)
+    with pytest.raises(DataError, match="reserved"):
+        if write == "save":
+            dataset.save(Dataset(measurements=(m,)), str(path))
+        else:
+            dataset.append_measurement(str(path), m)
+    assert not path.exists()
+
+
+def test_an_append_cut_short_at_any_byte_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "trace.csv"
+    meta = {"scenario": "TorIntel"}
+    row = Measurement(label="site-b", features=[6.5, -7.0, 8e3, 9.0, 10.0], meta={"visit": 1})
+    dataset.append_measurement(
+        str(path), Measurement(label="site-a", features=[1, 2, 3, 4, 5], meta={"visit": 0}),
+        dataset_meta=meta)
+    before = path.read_bytes()
+    expected = _contents(dataset.load(str(path)))
+    line = dataset._format_row(row).encode()
+    assert line == b'site-b,6.5,-7,8000,9,10\t{"visit":1}\n'
+    for cut in range(len(line)):
+        # The bytes a write stopped after `cut` of them leaves: a final
+        # line without its \n, which `load` leaves out.
+        path.write_bytes(before + line[:cut])
+        assert _contents(dataset.load(str(path))) == expected, cut
+        # The next append cuts the torn line off and writes its own.
+        dataset.append_measurement(str(path), row, dataset_meta=meta)
+        assert path.read_bytes() == before + line, cut
+
+
+def test_an_append_whose_write_fails_cuts_the_file_back(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    dataset.append_measurement(str(path), Measurement(label="a", features=[1.0, 2.0]))
+    before = path.read_bytes()
+    writes, write = [], os.write
+
+    def write_three_bytes_then_fail(fd, data):
+        if writes:
+            raise OSError("no space left on device")
+        writes.append(bytes(data[:3]))
+        return write(fd, data[:3])
+
+    monkeypatch.setattr(dataset.os, "write", write_three_bytes_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        dataset.append_measurement(str(path), Measurement(label="b", features=[3.0, 4.0]))
+    monkeypatch.undo()
+    assert writes == [b"b,3"] and path.read_bytes() == before
+
+
+def test_a_short_write_is_finished_by_the_next_write(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    dataset.append_measurement(str(path), Measurement(label="a", features=[1.0, 2.0]))
+    write = os.write
+    monkeypatch.setattr(dataset.os, "write", lambda fd, data: write(fd, data[:2]))
+    dataset.append_measurement(str(path), Measurement(label="bb", features=[3.0, 4.0],
+                                                      meta={"visit": 1}))
+    monkeypatch.undo()
+    assert path.read_text().splitlines()[1:] == ["a,1,2", 'bb,3,4\t{"visit":1}']
+
+
+def test_an_append_to_a_matching_version_2_file_reads_line_1_only(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    meta = {"scenario": "TorIntel", "events": ["instructions"], "samples_per_event": 3}
+    rows = [Measurement(label=f"s{i % 2}", features=[i, i + 1.5, 2 * i], meta={"visit": i})
+            for i in range(4)]
+    dataset.append_measurement(str(path), rows[0], dataset_meta=meta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the append read or rewrote the whole file")
+
+    for name in ("load", "save", "_write_atomic", "_parse_rows_bulk", "_parse_rows_one_by_one"):
+        monkeypatch.setattr(dataset, name, refuse)
+    for m in rows[1:]:
+        dataset.append_measurement(str(path), m, dataset_meta={**meta, "events": ("instructions",)})
+    monkeypatch.undo()
+    saved = tmp_path / "saved.csv"
+    dataset.save(Dataset(measurements=tuple(rows), meta=meta), str(saved))
+    assert path.read_bytes() == saved.read_bytes()
+
+
+V1_FILE = (
+    '{"format":"perfprint-dataset","version":1,"feature_length":2,"classes":["a","b"],'
+    '"scenario":"TorIntel","events":["instructions","bus-cycles"],"samples_per_event":1,'
+    '"meta":{"host":"h1"},"normalization":{"min":[0.5,-1],"max":[4,2e3]},'
+    '"row_meta":[{"visit":0},{},{"visit":2,"at":"t2"}]}\n'
+    "a,1.50,2e3\nb,-0,7\n\na,3,4\n"
+)
+
+
+def test_a_version_1_file_loads_as_it_did_and_an_append_upgrades_it_once(tmp_path, monkeypatch):
+    path = tmp_path / "v1.csv"
+    path.write_text(V1_FILE)
+    d = dataset.load(str(path))
+    meta = {"host": "h1", "scenario": "TorIntel", "events": ["instructions", "bus-cycles"],
+            "samples_per_event": 1}
+    assert d.labels() == ["a", "b", "a"]
+    assert [m.meta for m in d.measurements] == [{"visit": 0}, {}, {"visit": 2, "at": "t2"}]
+    assert d.feature_matrix().tobytes() == np.array([[1.5, 2000.0], [-0.0, 7.0], [3.0, 4.0]]).tobytes()
+    assert d.meta == meta
+    assert d.normalization.feature_min.tolist() == [0.5, -1.0]
+    assert d.normalization.feature_max.tolist() == [4.0, 2000.0]
+
+    loads = []
+    load = dataset.load
+    monkeypatch.setattr(dataset, "load", lambda p: loads.append(p) or load(p))
+    new = [Measurement(label="b", features=[5.0, 6.0], meta={"visit": 3}),
+           Measurement(label="c", features=[7.0, 8.0])]
+    for m in new:
+        dataset.append_measurement(str(path), m, dataset_meta={"scenario": "TorIntel"})
+    assert loads == [str(path)]  # the first append upgrades the file; the second writes one line
+    monkeypatch.undo()
+    assert json.loads(path.read_text().splitlines()[0])["version"] == 2
+    upgraded = dataset.load(str(path))
+    want = Dataset(measurements=d.measurements + tuple(new), normalization=d.normalization, meta=meta)
+    assert _contents(upgraded) == _contents(want)
+
+
+def test_an_append_of_a_key_the_header_lacks_rewrites_the_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    dataset.append_measurement(str(path), Measurement(label="a", features=[1.0]),
+                               dataset_meta={"scenario": "TorIntel"})
+    dataset.append_measurement(str(path), Measurement(label="b", features=[2.0]),
+                               dataset_meta={"scenario": "TorIntel", "host": "h1"})
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["scenario"] == "TorIntel" and header["meta"] == {"host": "h1"}
+    assert dataset.load(str(path)).labels() == ["a", "b"]
+
+
+def test_an_append_to_a_header_with_no_line_end_keeps_the_header(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(_header_v2(scenario="TorIntel"))
+    dataset.append_measurement(str(path), Measurement(label="a", features=[1.0, 2.0]))
+    d = dataset.load(str(path))
+    assert d.labels() == ["a"] and d.meta == {"scenario": "TorIntel"}
+
+
+def test_a_file_with_no_rows_takes_a_row_of_any_width(tmp_path):
+    path = tmp_path / "d.csv"
+    dataset.save(Dataset(measurements=(), meta={"scenario": "TorIntel"}), str(path))
+    dataset.append_measurement(str(path), Measurement(label="a", features=[1.0, 2.0]))
+    d = dataset.load(str(path))
+    assert d.feature_length == 2 and d.labels() == ["a"] and d.meta == {"scenario": "TorIntel"}
 
 
 def _report():

@@ -1,8 +1,9 @@
 """Dataset rows parsed in bulk against the per-line reference parser
 (tests/oracles.py), and integer rows written through `%d` against `%.9g`,
-on generated files and rows. Files of plain non-negative integers take the
-bulk parser's integer path; the oracle compares the features' bytes, so a
-value read differently there (`-0` as +0.0, a token above int64) fails it."""
+on generated files and rows of both file versions. Files of plain
+non-negative integers take the bulk parser's integer path; the oracle
+compares the features' bytes, so a value read differently there (`-0` as
++0.0, a token above int64) fails it."""
 
 import json
 import os
@@ -42,15 +43,21 @@ ODD_TOKENS = st.sampled_from([
 ])
 LABELS = st.text(alphabet=" ab#é\x1f1-", max_size=3)
 ROW_KINDS = ["row"] * 6 + ["short", "long", "label-only", "blank", "spaces"]
+# What a version-2 row may hold after its first tab: row meta as `save`
+# writes it, other well-formed objects, and tails that are no JSON object.
+ROW_META = ["", "", '\t{"visit":1}', "\t{}", '\t {"k": [1, "b"]} ']
+ODD_ROW_META = ["\t[1]", '\t{"x":NaN}', "\t{", "\t", '\t"a"', '\t{}\t{}']
 
 
 @st.composite
 def dataset_files(draw):
     """A dataset file's text and its header. A "clean" file is well formed,
     a "token" file has one odd token in an otherwise clean file, and a
-    "mixed" file may have odd tokens anywhere, malformed rows and a wrong
-    feature_length. A clean or token file holds either any numbers or
-    only counts."""
+    "mixed" file may have odd tokens anywhere, malformed rows and row meta,
+    and a wrong feature_length. A clean or token file holds either any
+    numbers or only counts. A version-2 file's rows may end in row meta,
+    and its last line may lack its `\n`."""
+    version = draw(st.sampled_from([1, 2]))
     width = draw(st.integers(0, 4))
     mode = draw(st.sampled_from(["clean", "token", "token", "mixed"]))
     numbers = draw(st.sampled_from([NUMBERS, COUNTS]))
@@ -70,8 +77,11 @@ def dataset_files(draw):
         row = draw(st.sampled_from(rows))
         row[draw(st.integers(1, width))] = draw(ODD_TOKENS)
     lines = ["" if row is None else ",".join(row) for row in rows]
+    if version == 2:
+        suffixes = ROW_META + ODD_ROW_META if mode == "mixed" else ROW_META
+        lines = [line + draw(st.sampled_from(suffixes)) if line else line for line in lines]
     n_rows = sum(1 for line in lines if line)
-    header = {"format": "perfprint-dataset", "version": 1,
+    header = {"format": "perfprint-dataset", "version": version,
               "feature_length": width + (draw(st.sampled_from([0, 0, 0, -1, 1])) if mode == "mixed" else 0)}
     meta_rows = draw(st.sampled_from([None, None, n_rows, n_rows, n_rows - 1, n_rows + 1]))
     if meta_rows is not None and meta_rows >= 0:
@@ -87,23 +97,28 @@ def dataset_files(draw):
 
 def _outcome(parse, path):
     try:
-        d, rows = parse(path)
+        d = parse(path)
     except DataError as exc:
         return "error", str(exc)
     norm = d.normalization
     return ("ok", d.labels(), [m.meta for m in d.measurements],
             [(m.features.shape, m.features.tobytes()) for m in d.measurements], d.meta,
-            None if norm is None else (norm.feature_min.tobytes(), norm.feature_max.tobytes()),
-            rows)
+            None if norm is None else (norm.feature_min.tobytes(), norm.feature_max.tobytes()))
 
 
 ZERO_WIDTH = '{"format":"perfprint-dataset","version":1,"feature_length":0}\n'
+ZERO_WIDTH_V2 = '{"format":"perfprint-dataset","version":2,"feature_length":0}\n'
 
 
-@PROPERTY
+# Twice the examples of the other properties: half of them are version 1.
+@settings(PROPERTY, max_examples=800)
 @given(dataset_files())
 @example((ZERO_WIDTH + "a\nb\n", {}))  # zero-width rows as `save` writes them
 @example((ZERO_WIDTH + "a,\nb\n", {}))  # a trailing comma is one empty feature
+@example((ZERO_WIDTH_V2 + 'a\t{"visit":0}\nb\t{"visit":1}\n', {}))  # with their meta
+@example((ZERO_WIDTH_V2 + 'a\t{"visit":0}\nb\t{"vis', {}))  # an append cut short
+@example((ZERO_WIDTH_V2 + 'a\t{"visit":0}\nb\t{"visit":1}', {}))  # all but its \n
+@example((ZERO_WIDTH_V2.replace(":0", ":1") + "a\tx,5\n", {}))  # a tab before the first comma
 def test_bulk_parse_loads_what_the_per_line_parser_loads(file):
     text, header = file
     with tempfile.TemporaryDirectory() as tmp:
@@ -113,12 +128,12 @@ def test_bulk_parse_loads_what_the_per_line_parser_loads(file):
         expected = _outcome(reference_parse, path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning fails the test as an exception
-            got = _outcome(dataset._parse, path)
-    row_meta = header.get("row_meta")
-    if expected[0] == "ok" and row_meta is not None and len(row_meta) > len(expected[-1]):
+            got = _outcome(dataset.load, path)
+    row_meta = header.get("row_meta") if header.get("version") == 1 else None
+    if expected[0] == "ok" and row_meta is not None and len(row_meta) > len(expected[1]):
         # the reference loads a surplus row_meta; the package refuses it
         expected = ("error", f"{path}: line 1: header row_meta has {len(row_meta)} entries, "
-                             f"more than the {len(expected[-1])} rows")
+                             f"more than the {len(expected[1])} rows")
     assert got == expected
 
 
@@ -133,7 +148,7 @@ def test_a_well_formed_file_never_needs_the_per_line_parser(tmp_path, monkeypatc
         raise AssertionError("per-line parser ran")
 
     monkeypatch.setattr(dataset, "_parse_rows_one_by_one", refuse)
-    assert _outcome(dataset._parse, str(path)) == _outcome(reference_parse, str(path))
+    assert _outcome(dataset.load, str(path)) == _outcome(reference_parse, str(path))
 
 
 def _loadtxt_dtypes(monkeypatch, path):
@@ -150,7 +165,7 @@ def _loadtxt_dtypes(monkeypatch, path):
 
     monkeypatch.setattr(np, "loadtxt", spy)
     monkeypatch.setattr(dataset, "_parse_rows_one_by_one", refuse)
-    assert _outcome(dataset._parse, str(path)) == _outcome(reference_parse, str(path))
+    assert _outcome(dataset.load, str(path)) == _outcome(reference_parse, str(path))
     return dtypes
 
 
@@ -161,6 +176,17 @@ def test_a_counter_file_is_read_by_one_integer_loadtxt_call(tmp_path, monkeypatc
     dataset.save(Dataset(measurements=tuple(
         Measurement(label=f"s{i % 2}", features=row, meta={"visit": i})
         for i, row in enumerate(counts))), str(path))
+    assert [dt.kind for dt in _loadtxt_dtypes(monkeypatch, path)] == ["i"]
+
+
+def test_row_meta_keeps_no_counter_file_from_the_integer_parser(tmp_path, monkeypatch):
+    # `collect` stamps each row with a time, whose text holds `-` and `e`.
+    path = tmp_path / "d.csv"
+    rng = np.random.default_rng(7)
+    dataset.save(Dataset(measurements=tuple(
+        Measurement(label=f"s{i % 2}", features=rng.integers(0, 10**9, size=300),
+                    meta={"captured_at": f"2026-01-0{i + 1}T00:00:00+00:00", "x": -1.5e3})
+        for i in range(4))), str(path))
     assert [dt.kind for dt in _loadtxt_dtypes(monkeypatch, path)] == ["i"]
 
 
@@ -183,7 +209,7 @@ def test_a_normalized_file_makes_no_integer_attempt(tmp_path, monkeypatch):
 def test_tokens_loadtxt_reads_differently_go_to_the_per_line_parser(tmp_path, rows):
     path = tmp_path / "d.csv"
     path.write_text('{"format":"perfprint-dataset","version":1,"feature_length":2}\n' + rows)
-    assert _outcome(dataset._parse, str(path)) == _outcome(reference_parse, str(path))
+    assert _outcome(dataset.load, str(path)) == _outcome(reference_parse, str(path))
 
 
 def test_tokens_only_float_reads_still_load(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from perfprint.classifiers import make_trainer, train_knn
-from perfprint.errors import ConfigError
+from perfprint.errors import ConfigError, DataError
 from perfprint.evaluation import evaluate
 from perfprint.mitigation import MitigationPolicy, PolicyKind, apply, leakage_report
 from perfprint.synth import NoiseModel, gen_dataset, gen_profiles
@@ -45,6 +45,19 @@ def test_noise_scale_follows_reference_rms():
     dev1 = np.sqrt(np.mean(np.clip(x[:, 1] - 1.0, None, None) ** 2))
     assert 80.0 < dev0 < 120.0
     assert dev1 < 2.0
+
+
+def test_noise_that_overflows_is_judged_by_its_values():
+    # RMS 1 per column: sigma 1e308 scales to a finite 1e308 only where the
+    # reference is 1, and a column of RMS 2 overflows the scale itself.
+    ones = build_dataset([[1.0, 1.0]] * 50, [f"m{i % 2}" for i in range(50)])
+    with pytest.raises(DataError, match=r"noise scale \(sigma 1e\+308 times each feature's RMS\) is not finite"):
+        apply(MitigationPolicy.noise_injection(1e308, seed=0), ones,
+              rms_reference=build_dataset([[1.0, 2.0]], ["m0"]))
+    # A finite scale: draws beyond the float limit become infinite
+    # features, which the trainers refuse, and no warning is raised.
+    x = apply(MitigationPolicy.noise_injection(1.5e308, seed=0), ones).feature_matrix()
+    assert np.isposinf(x).any() and np.isfinite(x).any() and not np.isnan(x).any()
 
 
 def test_sampling_degradation_is_downsampling(balanced):
