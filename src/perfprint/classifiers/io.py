@@ -17,8 +17,10 @@ theirs across thread counts (tests/test_blas_threads.py).
 
 `load_model` checks the layout before it allocates an array: each dtype is
 "<f8", each shape a list of non-negative ints, the offsets run back to back
-from 0, and the data section is exactly as long as the arrays. A version-1
-file (one JSON line, each array base64 text, no diagnostics) still loads.
+from 0, and the data section is exactly as long as the arrays. Every
+array value must be finite, as training leaves it. A version-1 file (one
+JSON line, each array base64 text, no diagnostics) still loads, under the
+same check of its values.
 """
 
 from __future__ import annotations
@@ -92,7 +94,14 @@ def _read_arrays(fh, payload: dict, data_size: int):
         array = np.empty(shape, dtype=_DTYPE)
         if fh.readinto(array) != array.nbytes:
             raise DataError(f"array {name!r} is cut short")
-        payload[name] = array.astype(np.float64, copy=False)
+        payload[name] = _finite(name, array.astype(np.float64, copy=False))
+
+
+def _finite(name: str, array: np.ndarray) -> np.ndarray:
+    """`array`, which a model file holds only with finite values."""
+    if not np.isfinite(array).all():
+        raise DataError(f"array {name!r} holds a value that is not finite")
+    return array
 
 
 def _decode(obj: dict) -> np.ndarray:
@@ -127,7 +136,8 @@ def load_model(path: str):
             if version == 1:
                 if data_size:
                     raise DataError(f"{data_size} bytes follow a version-1 model")
-                payload = {k: _decode(v) if isinstance(v, dict) else v for k, v in payload.items()}
+                payload = {k: _finite(k, _decode(v)) if isinstance(v, dict) else v
+                           for k, v in payload.items()}
             else:
                 _read_arrays(fh, payload, data_size)
             model = MODEL_CLASSES[kind].from_payload(

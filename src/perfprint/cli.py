@@ -42,7 +42,7 @@ def _load_scenario(spec: str):
         scenario = events.preset(spec)
     elif os.path.exists(spec):
         try:
-            with open(spec) as fh:
+            with open(spec, encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, RecursionError, ValueError) as exc:  # also bad JSON or UTF-8
             raise DataError(f"{spec}: cannot read scenario file: {exc}") from exc

@@ -152,7 +152,8 @@ def _scan_processes() -> dict[int, str]:
         if not entry.isdigit():
             continue
         try:
-            with open(f"/proc/{entry}/comm", "r") as fh:
+            # A name is bytes (prctl PR_SET_NAME); one that is not UTF-8 still lists.
+            with open(f"/proc/{entry}/comm", "r", encoding="utf-8", errors="replace") as fh:
                 procs[int(entry)] = fh.read().strip()
         except OSError:
             continue  # process vanished between listing and read

@@ -4,27 +4,29 @@ A Measurement is the concatenation of all per-event sample series captured
 during one workload run. Datasets are immutable after construction: every
 operation returns a new value.
 
-File format, version 2. Line 1 is a strict JSON header holding only what
-is fixed when the file is created: `format`, `version`, `feature_length`,
-the trace layout (`scenario`, `events`, `samples_per_event`), the other
-dataset `meta` and the `normalization`. Each later line is one row,
-`label,feature_0,...`, then a tab and the row's meta as compact strict
-JSON if it has any: `site-a,12,7\t{"visit":3}`. The labels give the
-classes. A label holds no comma, tab or line break, and every feature,
-header value and row meta is finite, on write and on load. Features are
-written at 9 significant digits; rows of integers below 1e9 in magnitude
-(counter samples) go through `%d`, the same text `%.9g` gives. Version-1
-files, whose header also holds the class list and one `row_meta` entry
-per row, load as they always have.
+File format, version 2: UTF-8 text, whatever the locale. Line 1 is a
+strict JSON header holding only what is fixed when the file is created:
+`format`, `version`, `feature_length` (an int), the trace layout
+(`scenario`, `events`, `samples_per_event`), the other dataset `meta` and
+the `normalization`. Each later line is one row, `label,feature_0,...`,
+then a tab and the row's meta as compact strict JSON if it has any:
+`site-a,12,7\t{"visit":3}`. The labels give the classes. A label holds no
+comma, tab, line break or lone surrogate, and every feature, header value
+and row meta is finite, on write and on load. Features are written at 9
+significant digits; rows of integers below 1e9 in magnitude (counter
+samples) go through `%d`, the same text `%.9g` gives. Version-1 files,
+whose header also holds the class list and one `row_meta` entry per row,
+load as they always have.
 
-Loading parses every row body in one `np.loadtxt` call. A file with no
-`-`, `.`, `e` or `E` in any row body (a file of counter rows) is read by
-the integer parser and cast to float64, which is exact: each token is a
-plain non-negative integer, and int64 -> float64 rounds to nearest-even as
-the float parser rounds the same decimal. A file the integer parser
-refuses (a token above int64, `inf`) and every other file are read by the
-float parser. A file that call cannot read exactly as the per-line parser
-would (a malformed row, a non-finite value, a token only Python's `float`
+Loading parses every row body in one `np.loadtxt` call; a version-1 file
+goes there only when no row holds a tab. A file with no `-`, `.`, `e` or
+`E` in any row body (a file of counter rows) is read by the integer
+parser and cast to float64, which is exact: each token is a plain
+non-negative integer, and int64 -> float64 rounds to nearest-even as the
+float parser rounds the same decimal. A file the integer parser refuses
+(a token above int64, `inf`) and every other file are read by the float
+parser. A file that call cannot read exactly as the per-line parser would
+(a malformed row, a non-finite value, a token only Python's `float`
 accepts) is parsed again line by line, which names the first bad line in
 its DataError.
 
@@ -33,11 +35,12 @@ failed save leaves the old file as it was. `append_measurement` reads
 line 1 only, and when it fits the row, writes the row's line at the end of
 the file, its `\n` last, and syncs it. `load` leaves out a final line
 with no `\n`, and the next append cuts it off, so an append cut short
-leaves a file that loads as before. An append that needs another header
-(a new file, a version-1 file, a dataset meta key the file lacks) loads
-the file and saves it with the row. An append whose dataset meta
-disagrees with the file's on a key the file holds is refused, and the
-file keeps its bytes. A trace file has one writer at a time.
+leaves a file that loads as before. An append to a missing file saves it
+with the row; one that needs another header (a version-1 file, a dataset
+meta key the file lacks) loads the file and saves it with the row. An
+append whose dataset meta disagrees with the file's on a key the file
+holds is refused, and the file keeps its bytes. A trace file has one
+writer at a time.
 """
 
 from __future__ import annotations
@@ -328,8 +331,10 @@ def _strict_json(value) -> str:
 def _check_row(m: Measurement):
     """Refuse a row that `load` would not read back as written."""
     # A comma ends the label and a tab the row's body; a row must stay one
-    # line under str.splitlines, which `load` splits by.
-    if "," in m.label or "\t" in m.label or m.label.splitlines() not in ([m.label], []):
+    # line under str.splitlines, which `load` splits by; and a lone surrogate
+    # (argv's stand-in for a byte that is not UTF-8) has no UTF-8 form.
+    if ("," in m.label or "\t" in m.label or m.label.splitlines() not in ([m.label], [])
+            or any("\ud800" <= c <= "\udfff" for c in m.label)):
         raise DataError(f"label {m.label!r} contains a reserved character")
     if not np.isfinite(m.features).all():
         raise DataError(f"measurement labeled {m.label!r} has a non-finite feature")
@@ -350,7 +355,7 @@ def _write_atomic(path: str, chunks):
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             for chunk in chunks:
                 if isinstance(chunk, str):
                     fh.write(chunk)
@@ -374,11 +379,9 @@ def refuse_constant(name: str):
 
 
 def write_json(path: str, doc):
-    """Write `doc` atomically as compact JSON and a newline. The encoded
-    chunks are streamed, as `json.dump` does, rather than joined first. A
-    float that is not finite is a ValueError, since JSON has no such value."""
-    chunks = json.JSONEncoder(separators=(",", ":"), allow_nan=False).iterencode(doc)
-    _write_atomic(path, itertools.chain(chunks, ["\n"]))
+    """Write `doc` atomically as compact JSON and a newline. A float that is
+    not finite is a ValueError, since JSON has no such value."""
+    _write_atomic(path, [json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"])
 
 
 def save(d: Dataset, path: str):
@@ -390,37 +393,37 @@ def save(d: Dataset, path: str):
 def load(path: str) -> Dataset:
     """Parse and validate a dataset file of either version.
 
-    All row bodies are parsed at once by `_parse_rows_bulk`. Only when that
-    cannot vouch for its result does `_parse_rows_one_by_one` run, and it
-    either raises the DataError naming the first bad line or reads the rare
-    tokens the bulk parser refuses. Both round correctly, so the features
-    are the same bits either way. A version-2 file's final line with no
-    `\n` (an append cut short) is left out. A version-1 header's `row_meta`
-    needs one entry per row.
+    All row bodies are parsed at once by `_parse_rows_bulk`, as version-2
+    rows; a version-1 file goes there when no row holds a tab, as no valid
+    one does, and its `row_meta` has one entry per row. Only when that
+    cannot vouch for its result, and for any other version-1 file, does
+    `_parse_rows_one_by_one` run: it raises the DataError naming the first
+    bad line or reads the rare tokens the bulk parser refuses. Both round
+    correctly, so the features are the same bits either way. A version-2
+    file's final line with no `\n` (an append cut short) is left out.
     """
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: cannot decode the file as text: {exc}") from exc
     lines = text.splitlines()
     header = _read_header(path, lines)
-    inline_meta = header["version"] == 2
-    if inline_meta and not text.endswith("\n"):
+    v1 = header["version"] == 1
+    if not v1 and not text.endswith("\n"):
         lines = text[:text.rfind("\n") + 1].splitlines() or lines[:1]
     del text  # the lines hold it all; keeping both would double the file's share of the peak
 
-    length = header.get("feature_length")
-    row_meta = None if inline_meta else header.get("row_meta")
     rows = [line for line in lines[1:] if line]
-    measurements = _parse_rows_bulk(rows, length, row_meta, inline_meta)
+    row_meta = header.get("row_meta") if v1 else None
+    measurements = None
+    if not v1 or (not any("\t" in row for row in rows)
+                  and (row_meta is None or len(row_meta) == len(rows))):
+        measurements = _parse_rows_bulk(rows, header["feature_length"])
     if measurements is None:
-        measurements = _parse_rows_one_by_one(path, lines, length, row_meta, inline_meta)
-        if row_meta is not None and len(row_meta) > len(measurements):
-            raise DataError(
-                f"{path}: line 1: header row_meta has {len(row_meta)} entries, "
-                f"more than the {len(measurements)} rows"
-            )
+        measurements = _parse_rows_one_by_one(path, lines, header)
+    elif row_meta is not None:
+        measurements = [Measurement(m.label, m.features, meta) for m, meta in zip(measurements, row_meta)]
     return Dataset(measurements=tuple(measurements), normalization=_read_normalization(path, header),
                    meta=_header_meta(header))
 
@@ -447,6 +450,8 @@ def _read_header(path: str, lines: list[str]) -> dict:
         if value is not None and not (isinstance(value, kind) and all(isinstance(v, item) for v in value)):
             of = "" if item is object else f" of {item.__name__}"
             raise DataError(f"{path}: line 1: {key} is not a {kind.__name__}{of}")
+    if type(header.get("feature_length")) is not int:  # a bool is not one either
+        raise DataError(f"{path}: line 1: feature_length is not an int")
     for name in header.get("events") or []:
         if name not in EVENT_KINDS:
             raise DataError(f"{path}: header references unknown event {name!r}")
@@ -489,9 +494,10 @@ def _row_meta(text: str) -> dict:
     return meta
 
 
-def _parse_rows_bulk(rows: list[str], length, row_meta, inline_meta: bool) -> list[Measurement] | None:
-    """Every row body parsed by one `np.loadtxt` call, or None when the
-    result might differ from what `_parse_rows_one_by_one` returns.
+def _parse_rows_bulk(rows: list[str], length: int) -> list[Measurement] | None:
+    """Every version-2 row body, up to its first tab, parsed by one
+    `np.loadtxt` call, or None when the result might differ from what
+    `_parse_rows_one_by_one` returns.
 
     Bodies with no `-`, `.`, `e` or `E` (counter rows) are read by the
     integer parser, whose grammar (optional `+`, digits, surrounding
@@ -504,76 +510,67 @@ def _parse_rows_bulk(rows: list[str], length, row_meta, inline_meta: bool) -> li
     file instead.
 
     The result is kept only when each row holds `length` finite features
-    and its meta (after its first tab in version 2, `inline_meta`; in
-    `row_meta` in version 1) is a JSON object. Any other file, and any
-    token loadtxt refuses, goes to the per-line parser, which raises the
-    error or accepts the tokens only Python's `float` reads (`1_0`, `١`).
+    and its meta, after its first tab, is a JSON object. Any other file,
+    and any token loadtxt refuses, goes to the per-line parser, which
+    raises the error or accepts the tokens only Python's `float` reads
+    (`1_0`, `١`).
     """
-    labels, bodies, ends = [], [], []
-    metas = [] if inline_meta else row_meta
+    labels, bodies, metas, ends = [], [], [], []
     for row in rows:
         label, _, body = row.partition(",")
-        end = len(body)
-        if inline_meta:
-            if "\t" in label:  # a row with no features, which the per-line parser reads
-                return None
-            tab = body.find("\t")
-            try:
-                metas.append(_row_meta(body[tab + 1:]) if tab >= 0 else {})
-            except (ValueError, RecursionError):
-                return None
-            end = tab if tab >= 0 else end
+        if "\t" in label:  # a row with no features, which the per-line parser reads
+            return None
+        tab = body.find("\t")
+        try:
+            metas.append(_row_meta(body[tab + 1:]) if tab >= 0 else {})
+        except (ValueError, RecursionError):
+            return None
         labels.append(label)
         bodies.append(body)
-        ends.append(end)
+        ends.append(tab if tab >= 0 else len(body))
     # loadtxt skips empty lines, so an empty body would shift every later
     # row; "\x1f" is whitespace to loadtxt but not to numpy's string cast.
     if not bodies or not all(bodies) or any("\x1f" in body for body in bodies):
         return None
-    if metas is not None and len(metas) != len(rows):
-        return None
-    # A version-2 body is read up to its first tab, as a comment starts
-    # there; its meta is not copied out of it.
-    comments = "\t" if inline_meta else None
     x = None
     if not any(body.find(c, 0, end) >= 0 for body, end in zip(bodies, ends) for c in "-.eE"):
-        x = _loadtxt(bodies, np.int64, comments)
+        x = _loadtxt(bodies, np.int64)
     if x is None:
-        x = _loadtxt(bodies, np.float64, comments)
+        x = _loadtxt(bodies, np.float64)
     if x is None or x.shape != (len(rows), length) or not np.isfinite(x).all():
         return None
-    return [
-        Measurement(label=label, features=features, meta=meta)
-        for label, features, meta in zip(labels, x, metas or [{} for _ in rows])
-    ]
+    return [Measurement(label=label, features=features, meta=meta)
+            for label, features, meta in zip(labels, x, metas)]
 
 
-def _loadtxt(bodies: list[str], dtype, comments) -> np.ndarray | None:
+def _loadtxt(bodies: list[str], dtype) -> np.ndarray | None:
     """`bodies` read by loadtxt's parser for `dtype`, each up to its first
-    `comments` character if that is given, as float64; None when
-    it refuses a token. Older numpy (from 1.23) reads a token its integer
-    parser refuses through the float parser with only a DeprecationWarning,
-    and casts `inf` or a value above int64 to a wrong integer, so that
-    warning is a refusal."""
+    tab (a comment to loadtxt, so the row meta is not copied out), as
+    float64; None when it refuses a token. Older numpy (from 1.23) reads a
+    token its integer parser refuses through the float parser with only a
+    DeprecationWarning, and casts `inf` or a value above int64 to a wrong
+    integer, so that warning is a refusal."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            x = np.loadtxt(bodies, delimiter=",", dtype=dtype, comments=comments, ndmin=2)
+            x = np.loadtxt(bodies, delimiter=",", dtype=dtype, comments="\t", ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
     return x.astype(np.float64, copy=False)
 
 
-def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta,
-                           inline_meta: bool) -> list[Measurement]:
-    """The rows of `lines[1:]` parsed line by line; raises the DataError
-    that names the first bad line."""
+def _parse_rows_one_by_one(path: str, lines: list[str], header: dict) -> list[Measurement]:
+    """The rows of `lines[1:]` parsed line by line, by the version and
+    `row_meta` of `header`; raises the DataError that names the first bad
+    line, or that a version-1 `row_meta` has more entries than rows."""
+    length = header["feature_length"]
+    row_meta = header.get("row_meta") if header["version"] == 1 else None
     measurements = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         meta = {}
-        if inline_meta:
+        if header["version"] == 2:
             line, tab, tail = line.partition("\t")
             try:
                 meta = _row_meta(tail) if tab else {}
@@ -600,7 +597,9 @@ def _parse_rows_one_by_one(path: str, lines: list[str], length, row_meta,
                 )
             meta = row_meta[len(measurements)]
         measurements.append(Measurement(label=label, features=features, meta=meta))
-
+    if row_meta is not None and len(row_meta) > len(measurements):
+        raise DataError(f"{path}: line 1: header row_meta has {len(row_meta)} entries, "
+                        f"more than the {len(measurements)} rows")
     return measurements
 
 
@@ -625,8 +624,11 @@ def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = No
 
     Its feature length must match the rows the file already holds, and so
     must every key of `dataset_meta` the file already holds; keys the file
-    lacks are added. Only line 1 is read when it already fits the row;
-    otherwise the file is loaded and saved with the row.
+    lacks are added. When line 1 is a version-2 header that already fits
+    the row, only line 1 is read: a final line with no `\n` is cut off, the
+    row's line is written at the end and synced, and on an error the file
+    is cut back to where it was. Otherwise the file is loaded and saved
+    with the row.
     """
     _check_row(m)
     # Compared as the header holds them: a tuple reads back as a list.
@@ -634,14 +636,33 @@ def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = No
     try:
         fd = os.open(path, os.O_RDWR | os.O_APPEND)
     except FileNotFoundError:
-        d = Dataset(measurements=())
-    else:
+        return save(Dataset(measurements=(m,), meta=wanted), path)
+    with open(fd, "r", encoding="utf-8", newline="") as fh:  # closes fd
         try:
-            if _append_in_place(path, fd, m, wanted):
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: cannot decode the file as text: {exc}") from exc
+        header = _read_header(path, first.splitlines())
+        if header["version"] == 2:  # a version-1 file is upgraded below whatever its meta
+            _read_normalization(path, header)  # refused here as `load` would refuse it
+            meta = _header_meta(header)
+            if (_merged_meta(path, meta, wanted) == meta and header["feature_length"] == len(m.features)
+                    and first.endswith("\n")):
+                line = memoryview(_format_row(m).encode("utf-8"))
+                size = os.fstat(fd).st_size
+                with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as mm:
+                    end = mm.rfind(b"\n") + 1  # past the last complete line
+                try:
+                    if end < size:
+                        os.ftruncate(fd, end)
+                    while line:
+                        line = line[os.write(fd, line):]
+                    os.fsync(fd)
+                except BaseException:
+                    os.ftruncate(fd, end)
+                    raise
                 return
-        finally:
-            os.close(fd)
-        d = load(path)
+    d = load(path)
     if len(d) and d.feature_length != len(m.features):
         raise DataError(
             f"{path}: holds {d.feature_length}-feature rows, "
@@ -649,37 +670,3 @@ def append_measurement(path: str, m: Measurement, dataset_meta: dict | None = No
         )
     meta = _merged_meta(path, d.meta, wanted)
     save(Dataset(measurements=d.measurements + (m,), normalization=d.normalization, meta=meta), path)
-
-
-def _append_in_place(path: str, fd: int, m: Measurement, wanted: dict) -> bool:
-    """Write `m`'s line at the end of the file open as `fd` (O_APPEND),
-    after cutting off a final line with no `\n`; on an error the file is
-    cut back to where it was. False, having written nothing, unless line 1
-    is a version-2 header that already fits the row and `wanted`."""
-    try:
-        with open(fd, "r", newline="", closefd=False) as fh:
-            first, encoding = fh.readline(), fh.encoding
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: cannot decode the file as text: {exc}") from exc
-    header = _read_header(path, first.splitlines())
-    if header["version"] != 2:
-        return False
-    _read_normalization(path, header)  # refused here as `load` would refuse it
-    meta = _header_meta(header)
-    if (_merged_meta(path, meta, wanted) != meta or header.get("feature_length") != len(m.features)
-            or not first.endswith("\n")):
-        return False
-    line = memoryview(_format_row(m).encode(encoding))
-    size = os.fstat(fd).st_size
-    with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as mm:
-        end = mm.rfind(b"\n") + 1  # past the last complete line
-    try:
-        if end < size:
-            os.ftruncate(fd, end)
-        while line:
-            line = line[os.write(fd, line):]
-        os.fsync(fd)
-    except BaseException:
-        os.ftruncate(fd, end)
-        raise
-    return True

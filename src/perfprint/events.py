@@ -221,21 +221,33 @@ def config_to_dict(config: CollectorConfig) -> dict:
     }
 
 
+def _json_int(value, key: str) -> int:
+    """`value` if it is a JSON integer; a bool is not one."""
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> CollectorConfig:
+    """A collector config from `config_to_dict`'s keys. `cpu`, `pid` and
+    `read_interval_us` must be JSON integers and `duration_s` a number."""
     try:
         events = tuple(EventSpec(name) for name in data["events"])
         scope_data = data["scope"]
         if scope_data["type"] == "core":
-            scope = ProfilingScope.core(int(scope_data["cpu"]))
+            scope = ProfilingScope.core(_json_int(scope_data["cpu"], "cpu"))
         elif scope_data["type"] == "process":
-            scope = ProfilingScope.process(int(scope_data.get("pid", -1)))
+            scope = ProfilingScope.process(_json_int(scope_data.get("pid", -1), "pid"))
         else:
             raise ConfigError(f"unknown scope type {scope_data['type']!r}")
+        if type(data["duration_s"]) not in (int, float):
+            raise ConfigError(f"duration_s must be a number, got {data['duration_s']!r}")
         return CollectorConfig(
             events=events,
             scope=scope,
             duration_s=float(data["duration_s"]),
-            read_interval_us=int(data.get("read_interval_us", DEFAULT_READ_INTERVAL_US)),
+            read_interval_us=_json_int(data.get("read_interval_us", DEFAULT_READ_INTERVAL_US),
+                                       "read_interval_us"),
         )
     except ConfigError:
         raise

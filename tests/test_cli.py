@@ -20,6 +20,17 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_process(*argv, flags=(), env=None):
+    """`perfprint argv` in a new interpreter started with `flags`."""
+    src = os.path.dirname(os.path.dirname(perfprint.__file__))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", "import sys; from perfprint.cli import main; sys.exit(main())",
+         *map(str, argv)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+    )
+
+
 def _envelope(path):
     """A model file's first line: its JSON envelope."""
     return json.loads(path.read_bytes().partition(b"\n")[0])
@@ -98,7 +109,16 @@ def test_synth_rejects_noise_it_cannot_draw(tmp_path, capsys, flag, value):
     (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": 1e999}', 2),
     (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": "x"}, "duration_s": 1}', 2),
     (b'{"events": ["instructions\xff"]}', 3),
-], ids=["duration-abc", "duration-1e999", "cpu-x", "not-utf8"])
+    # A JSON number that is not an integer, or a bool, is no core, pid or interval.
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 1.9}, "duration_s": 1}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": true}, "duration_s": 1}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "process", "pid": 7.5}, "duration_s": 1}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": 1,'
+     b' "read_interval_us": 150.9}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": true}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": "1"}', 2),
+], ids=["duration-abc", "duration-1e999", "cpu-x", "not-utf8", "cpu-float", "cpu-true",
+        "pid-float", "interval-float", "duration-true", "duration-string"])
 def test_malformed_scenario_file_exits_with_an_error_line(tmp_path, capsys, raw, code):
     scenario = tmp_path / "scenario.json"
     scenario.write_bytes(raw)
@@ -206,10 +226,15 @@ def test_missing_data_file_exits_three(tmp_path):
      "normalization": {"min": [0, 0], "max": [1, 1]}},
     {"format": "perfprint-dataset", "version": 1, "feature_length": 1,
      "normalization": {"min": [[0]], "max": [[1]]}},
+    {"format": "perfprint-dataset", "version": 2, "feature_length": "1"},
+    {"format": "perfprint-dataset", "version": 2, "feature_length": True},
+    {"format": "perfprint-dataset", "version": 2, "feature_length": 1.0},
+    {"format": "perfprint-dataset", "version": 2},
 ], ids=["short-row-meta", "list-header", "normalization-without-max", "int-events",
         "int-classes", "list-meta", "surplus-row-meta", "nan-meta", "infinity-meta",
         "infinity-normalization", "short-normalization", "long-normalization",
-        "nested-normalization"])
+        "nested-normalization", "string-feature-length", "bool-feature-length",
+        "float-feature-length", "no-feature-length"])
 def test_prep_on_malformed_header_exits_three(tmp_path, capsys, header):
     data = tmp_path / "bad.csv"
     data.write_text(json.dumps(header) + "\na,1.0\na,2.0\n")
@@ -269,6 +294,20 @@ def test_prep_split_normalize_downsample(tmp_path):
     assert d_train.normalization is not None
     x = d_train.feature_matrix()
     assert x.min() >= 0.0 and x.max() <= 1.0
+
+
+def test_the_pipeline_opens_every_text_file_as_utf_8(tmp_path):
+    # -X warn_default_encoding warns of an open() that takes the locale's
+    # encoding; -W error makes that warning an exit with a traceback.
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    full, train, test, model = (tmp_path / name for name in ("full.csv", "train.csv", "test.csv", "m.json"))
+    for argv in (synth_args(full),
+                 ("prep", "--data", full, "--normalize", "--split-train", 6, "--split-test", 2,
+                  "--train-out", train, "--test-out", test),
+                 ("train", "--data", train, "--kind", "knn", "--out", model),
+                 ("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r")):
+        proc = run_process(*argv, flags=flags)
+        assert proc.returncode == 0, proc.stderr
 
 
 # Each `prep` output mistake: a missing output, an output the mode does not
@@ -518,6 +557,13 @@ def _one_pair_fewer(doc):
     del doc["payload"]["pairs"][-1]
 
 
+def _poison(doc, name, value):
+    """Set the first entry of a payload array to `value`."""
+    array = doc["payload"][name].copy()
+    array.flat[0] = value
+    doc["payload"][name] = array
+
+
 def _resize(doc, name, delta):
     """Drop (delta < 0) or repeat (delta > 0) the last entries of a 1-D array."""
     array = doc["payload"][name]
@@ -535,9 +581,11 @@ def _resize(doc, name, delta):
     (lambda doc: _resize(doc, "biases", -1), "svm"),
     (lambda doc: _resize(doc, "b1", -1), "net"),
     (lambda doc: _resize(doc, "bs", 1), "net"),
+    (lambda doc: _poison(doc, "weights", float("nan")), "svm"),
+    (lambda doc: _poison(doc, "w1", float("inf")), "net"),
 ], ids=["no-classes", "list-payload", "child-out-of-range", "root-loops", "short-leaf-counts",
         "svm-pair-out-of-range", "svm-one-pair-fewer", "svm-short-biases", "net-short-b1",
-        "net-long-bs"])
+        "net-long-bs", "svm-nan-weight", "net-infinite-w1"])
 def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
     flags = {"tree": ["--min-parent", 2], "net": ["--max-iter", 2, "--hidden1", 8, "--hidden2", 4]}
     model, test = _train_cli_model(tmp_path, kind, *flags.get(kind, []))
@@ -546,13 +594,7 @@ def test_evaluate_on_corrupt_model_exits_three(tmp_path, corrupt, kind):
     _write_model(model, doc)
     # A separate process, so a model that routes forever fails by timeout
     # instead of hanging the suite.
-    src = os.path.dirname(os.path.dirname(perfprint.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from perfprint.cli import main; sys.exit(main())",
-         "evaluate", "--data", str(test), "--model", str(model), "--out-dir", str(tmp_path / "r")],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_process("evaluate", "--data", test, "--model", model, "--out-dir", tmp_path / "r")
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"error: {model}: ")
     assert "Traceback" not in proc.stderr

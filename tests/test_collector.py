@@ -117,6 +117,33 @@ def test_await_rejects_a_timeout_before_it_scans(timeout_s):
         collector.await_target_process("tor", timeout_s=timeout_s, scan=scan)
 
 
+# Renames its own process to bytes that are not UTF-8, then waits for stdin to close.
+RENAME_SCRIPT = """
+import ctypes, sys
+prctl = ctypes.CDLL(None).prctl
+prctl.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong]
+prctl.restype = ctypes.c_int
+if prctl(15, b"\\xff\\xfeweird", 0, 0, 0) != 0:  # PR_SET_NAME
+    sys.exit(1)
+print("renamed", flush=True)
+sys.stdin.read()
+"""
+
+
+def test_a_process_name_that_is_not_utf_8_is_scanned_with_replacement_characters():
+    with subprocess.Popen([sys.executable, "-c", RENAME_SCRIPT], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True) as child:
+        try:
+            if child.stdout.readline() != "renamed\n":
+                pytest.skip("prctl(PR_SET_NAME) is unavailable")
+            assert collector._scan_processes()[child.pid] == "\ufffd\ufffdweird"
+            with pytest.raises(ProcessWaitTimeoutError):
+                collector.await_target_process("no-such-process", timeout_s=0.05, poll_interval_ms=10)
+        finally:
+            child.stdin.close()
+            child.wait(timeout=10)
+
+
 def test_await_match_is_case_insensitive_substring():
     scans = iter([{1: "init"}, {1: "init", 321: "Tor Browser"}])
     pid = collector.await_target_process(

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from perfprint.collector import RawTraceSet
 from perfprint.dataset import Dataset, Measurement, NormParams
 from perfprint.errors import ConfigError, DataError
 from perfprint.evaluation import CrossValResult, EvalReport
-from perfprint.events import CollectorConfig, EventSpec, ProfilingScope, preset
+from perfprint.events import CollectorConfig, EventSpec, ProfilingScope, config_to_dict, preset
 from perfprint.mitigation import LeakageReport
 from perfprint.synth import ClassProfile
 
@@ -411,7 +413,11 @@ def test_append_keeps_hand_written_rows_as_written(tmp_path):
     (json.dumps([1, 2]), "line 1: header is not a JSON object"),
     (_header(row_meta={"visit": 0}), "line 1: row_meta is not a list"),
     (_header(row_meta=[{}, {}, {}]), "line 1: header row_meta has 3 entries, more than the 1 rows"),
-], ids=["short-row-meta", "list-header", "dict-row-meta", "surplus-row-meta"])
+    (_header(feature_length="2"), "line 1: feature_length is not an int"),
+    (_header_v2(feature_length=True), "line 1: feature_length is not an int"),
+    (_header_v2(feature_length=2.0), "line 1: feature_length is not an int"),
+], ids=["short-row-meta", "list-header", "dict-row-meta", "surplus-row-meta", "string-feature-length",
+        "bool-feature-length", "float-feature-length"])
 def test_load_rejects_malformed_header_fields(tmp_path, header, match):
     path = tmp_path / "bad.csv"
     path.write_text(header + "\na,1.0,2.0\n")
@@ -437,6 +443,11 @@ def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
         dataset.save(build_dataset([[3.0]], ["with,comma"]), str(path))
     with pytest.raises(DataError, match="reserved"):
         dataset.append_measurement(str(path), Measurement(label="c\nd", features=[3.0]))
+    # A lone surrogate, as argv decoding makes of a byte that is not UTF-8.
+    with pytest.raises(DataError, match="reserved"):
+        dataset.save(build_dataset([[3.0]], ["c\udcff"]), str(path))
+    with pytest.raises(DataError, match="reserved"):
+        dataset.append_measurement(str(path), Measurement(label="c\udcff", features=[3.0]))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
@@ -754,3 +765,38 @@ def test_records_holding_arrays_compare_without_raising(make):
     # by identity.
     a, b = make(), make()
     assert (a == b) is False and (a == a) is True
+
+
+# Run under a C locale with neither locale coercion nor UTF-8 mode, where
+# the locale's encoding is ASCII; the script is ASCII, as its argv is
+# decoded by that encoding too.
+ASCII_SCRIPT = """
+import json, locale, sys
+from perfprint import cli, dataset
+from perfprint.dataset import Dataset, Measurement
+assert locale.getpreferredencoding(False) != "UTF-8", locale.getpreferredencoding(False)
+trace, scenario = sys.argv[1:]
+dataset.save(Dataset(measurements=(Measurement("caf\\u00e9", [1.0, 2.0], {"visit": 0}),)), trace)
+dataset.append_measurement(trace, Measurement("na\\u00efve", [3.0, 4.0]))  # one line
+dataset.append_measurement(trace, Measurement("caf\\u00e9", [5.0, 6.0]), {"host": "h\\u00f4te"})  # a rewrite
+print(json.dumps([dataset.load(trace).labels(), cli._load_scenario(scenario)[2]]))
+"""
+
+
+def test_text_files_are_utf_8_under_an_ascii_locale(tmp_path):
+    trace, scenario = tmp_path / "trace.csv", tmp_path / "scenario.json"
+    doc = {**config_to_dict(preset("TorIntel").config), "name": "café"}
+    scenario.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(dataset.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", ASCII_SCRIPT, str(trace), str(scenario)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["café", "naïve", "café"], "café"]
+    expected = tmp_path / "expected.csv"
+    dataset.save(Dataset(measurements=(
+        Measurement("café", [1.0, 2.0], {"visit": 0}), Measurement("naïve", [3.0, 4.0]),
+        Measurement("café", [5.0, 6.0])), meta={"host": "hôte"}), str(expected))
+    assert trace.read_bytes() == expected.read_bytes()

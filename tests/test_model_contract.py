@@ -1,5 +1,6 @@
 """Uniform contract shared by all four model kinds, plus persistence."""
 
+import base64
 import json
 import os
 import re
@@ -240,6 +241,24 @@ def test_a_version_1_file_loads_and_ranks_as_version_2(toy, tmp_path, kind, para
     save_model(v1, str(tmp_path / "resaved.json"))
     resaved = load_model(str(tmp_path / "resaved.json"))
     np.testing.assert_array_equal(resaved.rank_classes_many(queries), v2.rank_classes_many(queries))
+
+
+@pytest.mark.parametrize("kind,params", [kp for kp in KINDS_AND_PARAMS if kp[0] != "tree"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_model_file_array_holding_a_non_finite_value_is_refused(toy, tmp_path, kind, params, version):
+    path = tmp_path / "m.json"
+    (save_model_v1 if version == 1 else save_model)(make_trainer(kind, **params)(toy[0]), str(path))
+    if version == 2:  # the last value of the last array
+        path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    else:  # the first value of the first array
+        doc = json.loads(path.read_bytes())
+        array = next(v for v in doc["payload"].values() if isinstance(v, dict))
+        values = np.frombuffer(base64.b64decode(array["data"]), dtype="<f8").copy()
+        values[0] = np.inf
+        array["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    with pytest.raises(DataError, match="not finite"):
+        load_model(str(path))
 
 
 def test_failed_save_leaves_the_old_model_file(toy, tmp_path, monkeypatch):
