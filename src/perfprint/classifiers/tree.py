@@ -10,10 +10,10 @@ of every feature in O(n) per feature with the count update of CART and
 C4.5: moving one row from the right side to the left changes one class
 count on each side, so the children's entropies follow from two running
 sums. It keeps only the cuts whose screened score is within its proven
-rounding bound of the best one. Those few are then scored exactly as the
-O(n·d·C) scan used to score every cut, so the chosen splits, their gains
-and the model files are the ones that scan gave. The screen works through
-the features in chunks whose temporaries hold about `_SCREEN_BYTES`.
+rounding bound of the best one. Those few are scored from their class
+counts exactly as the O(n·d·C) scan scored every cut, so the chosen
+splits, their gains and the model files are the ones that scan gave. The
+screen works in feature chunks whose temporaries hold about `_SCREEN_BYTES`.
 """
 
 from __future__ import annotations
@@ -35,21 +35,11 @@ _LOG2_ERROR = 8
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _entropy_terms(n: int) -> np.ndarray:
-    """Flat table of entropy terms: entry t*(n+1) + c holds (c/t)*log2(c/t)
-    for a count c out of a total t, both in 0..n (0 where c is 0).
-
-    The entropy of a count vector is minus the sum of its terms. Summing
-    terms gathered from the table over the class axis adds the same floats
-    in the same order as computing them per node, so gains, ties and the
-    chosen splits do not change.
-    """
-    c = np.arange(n + 1, dtype=np.float64)
-    t = c[:, None]
+def _entropy(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of class counts."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = c / np.where(t > 0, t, 1.0)
-        term = np.where(c > 0, p * np.log2(p), 0.0)
-    return term.ravel()
+        return -np.where(counts > 0, p * np.log2(p), 0.0).sum(axis=-1)
 
 
 def _split_threshold(lo: float, hi: float) -> float:
@@ -88,9 +78,9 @@ def _screen_margin(n: int, n_classes: int) -> float:
     ε_exact, how far the gain that the exact scoring computes (the
     arithmetic whose result `best_split` returns) can be from the true
     gain, in bits:
-      - a table entry p*log2(p), p = c/t, is off by at most
+      - each term p*log2(p) of a side's counts, p = c/t, is off by at most
         (λ+3)u*|p*log2 p| + 2u*p (the rounding of c/t moves log2 by at
-        most 1.45u), so one side's C entries are off by (λ+3)u*H + 2u;
+        most 1.45u), so one side's C terms are off by (λ+3)u*H + 2u;
       - summing them over the class axis, in any order, adds (C-1)u*H,
         and H <= K;
       - the parent's entropy has the same bound, and the weighted child
@@ -182,12 +172,11 @@ def _score_cuts(X, y, parent_counts, feature, cut, lo, hi):
     cut[k]+1 rows with X[:, feature[k]] <= lo[k] left; hi[k] is the next
     value. Cuts come sorted by feature, then by cut.
 
-    The entropy terms come from the same table and are summed over the
-    class axis as before; the children are weighted by the same expression.
+    Each side's entropy is computed from its class counts with the same
+    operations as that scan, and the children are weighted as it did.
     """
     n, n_classes = len(y), len(parent_counts)
-    terms = _entropy_terms(n)
-    h_parent = -float(terms[n * (n + 1) + parent_counts].sum())
+    h_parent = float(_entropy(parent_counts))
     best = None
     width = max(1, _SCREEN_BYTES // (_SCREEN_CELL_BYTES * n))
     for start in range(0, len(feature), width):
@@ -196,13 +185,9 @@ def _score_cuts(X, y, parent_counts, feature, cut, lo, hi):
         cells = y[:, None] + n_classes * np.arange(goes_left.shape[1])
         left_counts = np.bincount(cells[goes_left], minlength=cells.size // n * n_classes)
         left_counts = left_counts.reshape(-1, n_classes)
-        n_left = cut[part] + 1
-        h_left = -terms[(n_left * (n + 1))[:, None] + left_counts].sum(axis=-1)
-        right_base = ((n - n_left) * (n + 1))[:, None] + parent_counts
-        h_right = -terms[right_base - left_counts].sum(axis=-1)
-        n_left = n_left.astype(np.float64)
-        n_right = n - n_left
-        gain = h_parent - (n_left * h_left + n_right * h_right) / n
+        n_left = (cut[part] + 1).astype(np.float64)
+        child = n_left * _entropy(left_counts) + (n - n_left) * _entropy(parent_counts - left_counts)
+        gain = h_parent - child / n
         k = int(gain.argmax())
         if best is None or gain[k] > best[0]:
             threshold = _split_threshold(float(lo[part][k]), float(hi[part][k]))

@@ -239,6 +239,7 @@ def cmd_collect(args) -> int:
     else:
         target = "pid" if hasattr(args, "pid") else "await"
     _refuse_unread_flags(args, target=target)
+    dataset.check_label(args.label)
     if target == "pid":
         config = config.with_pid(args.pid)
     elif target == "await":
@@ -276,19 +277,19 @@ def cmd_synth(args) -> int:
 
 def cmd_prep(args) -> int:
     # The outputs are checked before the data is read: the mode's outputs
-    # are required, and the two splits may not share a file.
+    # and test size are required (absent or empty is missing), and the two
+    # splits may not share a file.
     split = bool(args.split_train)
     _refuse_unread_flags(args, split=split)
-    outputs = ("--train-out", "--test-out") if split else ("--out",)
-    for flag in outputs:
-        if not getattr(args, _dest(flag), ""):
+    required = ("--train-out", "--test-out", "--split-test") if split else ("--out",)
+    for flag in required:
+        if getattr(args, _dest(flag), "") == "":
             raise ConfigError(f"{flag} is required {'with' if split else 'without'} --split-train")
     if split and os.path.realpath(args.train_out) == os.path.realpath(args.test_out):
         raise ConfigError(f"--train-out and --test-out are the same file, {args.train_out}")
     d = dataset.downsample(dataset.load(args.data), args.downsample)
     if split:
-        train, test = dataset.split(d, args.split_train, getattr(args, "split_test", 0),
-                                    getattr(args, "split_seed", 0))
+        train, test = dataset.split(d, args.split_train, args.split_test, getattr(args, "split_seed", 0))
         if args.normalize:
             train = dataset.normalize_fit(train)
             test = dataset.normalize_apply(train.normalization, test)

@@ -328,14 +328,19 @@ def _strict_json(value) -> str:
         raise DataError(f"a dataset file cannot hold a non-finite value: {exc}") from None
 
 
-def _check_row(m: Measurement):
-    """Refuse a row that `load` would not read back as written."""
+def check_label(label: str):
+    """Refuse a label that `load` would not read back as written."""
     # A comma ends the label and a tab the row's body; a row must stay one
     # line under str.splitlines, which `load` splits by; and a lone surrogate
     # (argv's stand-in for a byte that is not UTF-8) has no UTF-8 form.
-    if ("," in m.label or "\t" in m.label or m.label.splitlines() not in ([m.label], [])
-            or any("\ud800" <= c <= "\udfff" for c in m.label)):
-        raise DataError(f"label {m.label!r} contains a reserved character")
+    if ("," in label or "\t" in label or label.splitlines() not in ([label], [])
+            or any("\ud800" <= c <= "\udfff" for c in label)):
+        raise DataError(f"label {label!r} contains a reserved character")
+
+
+def _check_row(m: Measurement):
+    """Refuse a row that `load` would not read back as written."""
+    check_label(m.label)
     if not np.isfinite(m.features).all():
         raise DataError(f"measurement labeled {m.label!r} has a non-finite feature")
     # A row with no features is its label alone, and `load` skips empty lines.

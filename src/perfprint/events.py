@@ -187,7 +187,8 @@ def scenario_from_dict(data: dict, default_name: str) -> ScenarioPreset:
     """A scenario from a scenario file's content: a collector config plus
     an optional `name` (`default_name` if absent) and
     `target_process_pattern`."""
-    config = config_from_dict(data)
+    _known_keys(data, (*_CONFIG_KEYS, "name", "target_process_pattern"), default_name)
+    config = config_from_dict({key: data[key] for key in _CONFIG_KEYS if key in data})
     name, pattern = data.get("name", default_name), data.get("target_process_pattern")
     if not isinstance(name, str) or not isinstance(pattern, (str, type(None))):
         raise ConfigError(f"{default_name}: name and target_process_pattern must be strings")
@@ -221,6 +222,19 @@ def config_to_dict(config: CollectorConfig) -> dict:
     }
 
 
+_CONFIG_KEYS = ("events", "scope", "duration_s", "read_interval_us")
+
+
+def _known_keys(data, keys: tuple, where: str) -> dict:
+    """`data` if it is a JSON object whose keys are all among `keys`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; expected {', '.join(keys)}")
+    return data
+
+
 def _json_int(value, key: str) -> int:
     """`value` if it is a JSON integer; a bool is not one."""
     if type(value) is not int:
@@ -229,17 +243,24 @@ def _json_int(value, key: str) -> int:
 
 
 def config_from_dict(data: dict) -> CollectorConfig:
-    """A collector config from `config_to_dict`'s keys. `cpu`, `pid` and
-    `read_interval_us` must be JSON integers and `duration_s` a number."""
+    """A collector config from `config_to_dict`'s keys, and no others.
+    `cpu`, `pid` and `read_interval_us` must be JSON integers and
+    `duration_s` a number. A core scope's `pid` and a process scope's
+    `cpu`, if given, must be -1, as `config_to_dict` writes them."""
     try:
+        _known_keys(data, _CONFIG_KEYS, "collector config")
         events = tuple(EventSpec(name) for name in data["events"])
-        scope_data = data["scope"]
-        if scope_data["type"] == "core":
+        scope_data = _known_keys(data["scope"], ("type", "pid", "cpu"), "scope")
+        kind = scope_data["type"]
+        if kind not in ("core", "process"):
+            raise ConfigError(f"unknown scope type {kind!r}")
+        unused = "pid" if kind == "core" else "cpu"
+        if _json_int(scope_data.get(unused, -1), unused) != -1:
+            raise ConfigError(f"a {kind} scope takes no {unused}, got {scope_data[unused]!r}")
+        if kind == "core":
             scope = ProfilingScope.core(_json_int(scope_data["cpu"], "cpu"))
-        elif scope_data["type"] == "process":
-            scope = ProfilingScope.process(_json_int(scope_data.get("pid", -1), "pid"))
         else:
-            raise ConfigError(f"unknown scope type {scope_data['type']!r}")
+            scope = ProfilingScope.process(_json_int(scope_data.get("pid", -1), "pid"))
         if type(data["duration_s"]) not in (int, float):
             raise ConfigError(f"duration_s must be a number, got {data['duration_s']!r}")
         return CollectorConfig(

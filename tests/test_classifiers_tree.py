@@ -182,6 +182,12 @@ def _split_case(case):
         X = np.hstack([rng.normal(size=(len(y), 20)) + 0.3 * y[:, None],
                        rng.integers(0, 6, size=(len(y), 12)).astype(np.float64)])
         return X, y, n_classes, 1, None
+    if case == "40 classes, n 4000":
+        # The best column and its copy at 6 tie exactly.
+        y = np.repeat(np.arange(40), 100)
+        X = rng.normal(size=(len(y), 8)) + np.linspace(0.0, 0.2, 8) * y[:, None]
+        X[:, 6] = X[:, 7]
+        return X, y, 40, 1, None
     if case == "duplicate and constant columns":
         y = rng.integers(0, 4, size=60)
         X = rng.integers(0, 3, size=(60, 30)).astype(np.float64)
@@ -207,7 +213,7 @@ NEAR_TIE_SEEDS = {"near ties, 4 classes": 38, "near ties, 9 classes": 59,
                   "exact ties, 12 classes": 13}
 
 
-SPLIT_CASES = [*range(16), "30 classes, n 1200", "6 classes, n 1002",
+SPLIT_CASES = [*range(16), "30 classes, n 1200", "6 classes, n 1002", "40 classes, n 4000",
                "duplicate and constant columns", "exact ties across chunks", *NEAR_TIE_SEEDS]
 
 
@@ -245,9 +251,23 @@ def test_split_screen_holds_no_more_memory_than_the_reference():
     assert peaks[0] <= peaks[1]
 
 
+def test_split_search_memory_does_not_grow_with_the_square_of_the_rows():
+    # Its temporaries are chunked to about _SCREEN_BYTES; an (n+1)-squared
+    # table of floats would take 128 MB at this n.
+    rng = np.random.default_rng(9)
+    X, y = rng.normal(size=(4000, 50)), rng.integers(0, 40, size=4000)
+    tracemalloc.start()
+    try:
+        best_split(X, y, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * tree._SCREEN_BYTES
+
+
 def test_log2_is_within_the_error_the_screen_margin_assumes():
     # The margin takes np.log2 to be within 4 ulp; check it on the counts
-    # and count ratios the screen and the entropy table take logs of.
+    # and count ratios the screen and the exact scoring take logs of.
     x = np.unique(np.concatenate([np.arange(1, 1201, dtype=np.float64),
                                   (np.arange(1, 61)[:, None] / np.arange(1, 61)).ravel()]))
     computed = np.log2(x)

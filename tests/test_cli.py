@@ -117,8 +117,16 @@ def test_synth_rejects_noise_it_cannot_draw(tmp_path, capsys, flag, value):
      b' "read_interval_us": 150.9}', 2),
     (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": true}', 2),
     (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": "1"}', 2),
+    # A key the scenario does not read, or a selector its scope does not use.
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": 0.01,'
+     b' "read_interval": 50}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": 0.01,'
+     b' "target_process": "tor"}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "core", "cpu": 0, "pid": 5}, "duration_s": 0.01}', 2),
+    (b'{"events": ["instructions"], "scope": {"type": "process", "pid": 1, "cpu": 3}, "duration_s": 0.01}', 2),
 ], ids=["duration-abc", "duration-1e999", "cpu-x", "not-utf8", "cpu-float", "cpu-true",
-        "pid-float", "interval-float", "duration-true", "duration-string"])
+        "pid-float", "interval-float", "duration-true", "duration-string",
+        "unknown-key", "unknown-pattern-key", "core-pid", "process-cpu"])
 def test_malformed_scenario_file_exits_with_an_error_line(tmp_path, capsys, raw, code):
     scenario = tmp_path / "scenario.json"
     scenario.write_bytes(raw)
@@ -197,6 +205,18 @@ def test_collect_appends_one_layout_and_refuses_another(tmp_path, capsys, monkey
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "scenario is 'TorIntel' in the file, 'ChromeArm' in the append" in err
     assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("target", [["ChromeArm"], ["TorIntel", "--pid", "1"], ["TorIntel", "--await", "tor"]],
+                         ids=["core", "pid", "await"])
+def test_collect_refuses_a_label_before_it_waits_or_counts(tmp_path, capsys, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    reads = []
+    monkeypatch.setattr(collector, "collect", lambda *args, **kwargs: reads.append("collect"))
+    monkeypatch.setattr(collector, "await_target_process", lambda *args, **kwargs: reads.append("await"))
+    assert run("collect", "--scenario", *target, "--label", "a,b", "--out", "t.csv") == 3
+    assert capsys.readouterr().err == "error: label 'a,b' contains a reserved character\n"
+    assert reads == [] and list(tmp_path.iterdir()) == []
 
 
 def test_missing_data_file_exits_three(tmp_path):
@@ -310,20 +330,22 @@ def test_the_pipeline_opens_every_text_file_as_utf_8(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
-# Each `prep` output mistake: a missing output, an output the mode does not
-# write, and train and test outputs that are one file.
+# Each `prep` output mistake: a missing output or test size, an output the
+# mode does not write, and train and test outputs that are one file.
 @pytest.mark.parametrize("flags", [
     [],
-    ["--split-train", 6, "--train-out", "train.csv"],
-    ["--split-train", 6, "--test-out", "test.csv"],
+    ["--split-train", 6, "--split-test", 2, "--train-out", "train.csv"],
+    ["--split-train", 6, "--split-test", 2, "--test-out", "test.csv"],
+    ["--split-train", 6, "--train-out", "train.csv", "--test-out", "test.csv"],
     ["--train-out", "train.csv", "--test-out", "test.csv"],
     ["--out", "out.csv", "--test-out", "test.csv"],
-    ["--split-train", 6, "--train-out", "train.csv", "--test-out", "test.csv", "--out", "out.csv"],
-    ["--split-train", 6, "--train-out", "x.csv", "--test-out", "x.csv"],
-    ["--split-train", 6, "--train-out", "x.csv", "--test-out", "sub/../x.csv"],
-    ["--split-train", 6, "--train-out", "x.csv", "--test-out", "link.csv"],
-], ids=["no-out", "no-test-out", "no-train-out", "split-outs-unsplit", "test-out-unsplit",
-        "out-split", "same-name", "same-path", "same-file-by-link"])
+    ["--split-train", 6, "--split-test", 2, "--train-out", "train.csv", "--test-out", "test.csv",
+     "--out", "out.csv"],
+    ["--split-train", 6, "--split-test", 2, "--train-out", "x.csv", "--test-out", "x.csv"],
+    ["--split-train", 6, "--split-test", 2, "--train-out", "x.csv", "--test-out", "sub/../x.csv"],
+    ["--split-train", 6, "--split-test", 2, "--train-out", "x.csv", "--test-out", "link.csv"],
+], ids=["no-out", "no-test-out", "no-train-out", "no-split-test", "split-outs-unsplit",
+        "test-out-unsplit", "out-split", "same-name", "same-path", "same-file-by-link"])
 def test_prep_refuses_its_outputs_before_it_reads_the_data(tmp_path, capsys, monkeypatch, flags):
     full = tmp_path / "full.csv"
     assert run(*synth_args(full)) == 0
@@ -958,7 +980,8 @@ _REQUIRED = {
 _MODE_ARGVS = {
     "kind": {kind: [["--kind", kind]] for kind in classifiers.MODEL_KINDS},
     "policy": {policy: [["--policy", policy]] for policy in cli._POLICIES},
-    "split": {True: [["--split-train", "2", "--train-out", "a.csv", "--test-out", "b.csv"]],
+    "split": {True: [["--split-train", "2", "--split-test", "1", "--train-out", "a.csv",
+                      "--test-out", "b.csv"]],
               False: [["--out", "o.csv"]]},
     "target": {"core": [["--scenario", "ChromeArm"], ["--scenario", "TorIntel", "--cpu", "0"]],
                "fixed": [["--scenario", "pid0.json"]],

@@ -121,6 +121,13 @@ def test_config_dict_round_trip():
 def test_config_from_dict_rejects_garbage():
     with pytest.raises(ConfigError):
         events.config_from_dict({"events": ["instructions"]})
+    core = {"events": ["instructions"], "scope": {"type": "core", "cpu": 0}, "duration_s": 1}
+    for bad in [{**core, "name": "x"}, {**core, "scope": {"type": "core", "cpu": 0, "socket": 1}},
+                {**core, "scope": {"type": "core", "cpu": 0, "pid": 5}},
+                {**core, "scope": {"type": "process", "cpu": 3}}, {**core, "scope": [0]}, [core]]:
+        with pytest.raises(ConfigError):
+            events.config_from_dict(bad)
+    assert events.config_from_dict({**core, "scope": {"type": "core", "cpu": 0, "pid": -1}}).scope.cpu == 0
     with pytest.raises(ConfigError):
         events.config_from_dict(
             {"events": ["instructions"], "scope": {"type": "socket"}, "duration_s": 1}
